@@ -8,7 +8,10 @@ Offline analysis computes graph-global per-property statistics in a
 fixed number of Spark jobs (grouped by property over the whole triple
 frame). Online analysis recomputes the statistics restricted to one
 CFS, for direct *and* derived attributes, batching all attributes of
-the CFS into two Spark jobs via a tagged union.
+the CFS into two Spark jobs via a tagged union (cached once per graph).
+Its second job also yields the CFS's weighted attribute-set patterns,
+from which aggregate enumeration mines its maximal frequent sets
+without another pass over the data.
 """
 from __future__ import annotations
 
@@ -99,8 +102,7 @@ def _stats_aggs() -> list:
     ]
 
 
-def _finish_stats(rows, multi_rows) -> dict[str, AttributeStats]:
-    multi = {r["a"]: r["multi"] for r in multi_rows}
+def _finish_stats(rows, multi: dict[str, int]) -> dict[str, AttributeStats]:
     out: dict[str, AttributeStats] = {}
     for r in rows:
         numeric = r["non_numeric"] == 0 and r["n_values"] > 0
@@ -141,7 +143,7 @@ def offline_property_stats(store: TripleStore) -> dict[str, AttributeStats]:
         .agg(F.countDistinct("s").alias("multi"))
         .collect()
     )
-    return _finish_stats(rows, multi_rows)
+    return _finish_stats(rows, {r["a"]: r["multi"] for r in multi_rows})
 
 
 def attribute_union(attributes: list[Attribute]) -> DataFrame:
@@ -158,41 +160,59 @@ def analyze_attributes(
     cfs_df: DataFrame,
     attributes: list[Attribute],
     attr_union: DataFrame | None = None,
-    subjects: DataFrame | None = None,
-) -> dict[str, AttributeStats]:
+) -> tuple[dict[str, AttributeStats], list[tuple[frozenset[str], int]]]:
     """Online Attribute Analysis: stats of many attributes over one CFS.
 
-    All attributes come as one tagged union frame, so the analysis
-    costs two Spark jobs regardless of the attribute count. ``subjects``
-    feeds the ref_frac statistic; the online path skips it (ref
-    detection is an offline decision), avoiding a join of the whole
-    union against the node set.
+    All attributes come as one tagged union frame, restricted to the
+    CFS by one join (``cfs_df`` holds distinct facts, as every
+    ``CandidateFactSet`` frame does). The analysis costs two Spark jobs
+    regardless of the attribute count:
+
+    * per-attribute statistics (one ``groupBy("a")``);
+    * the CFS's attribute-set patterns: for each fact, the set of its
+      attributes and the subset it has several values of, counted by
+      (set, subset). The subsets give ``multi_count``; the sets, with
+      their counts, are returned as the weighted patterns that
+      aggregate enumeration projects onto its dimensions
+      (``enumeration.dimension_transactions``) without Spark.
+
+    ref_frac is 0 here: reference detection is an offline decision.
     """
     if not attributes:
-        return {}
+        return {}, []
     if attr_union is None:
         attr_union = attribute_union(attributes)
-    members = cfs_df.select(F.col("cf").alias("s")).distinct()
-    union = attr_union.join(members, "s")
-    if subjects is not None:
-        tagged = _with_is_node(union, subjects)
-    else:
-        tagged = union.withColumn("is_node", F.lit(0))
-    rows = tagged.groupBy("a").agg(*_stats_aggs()).collect()
-    multi_rows = (
+    union = attr_union.join(cfs_df.select(F.col("cf").alias("s")), "s")
+    rows = (
+        union.withColumn("is_node", F.lit(0)).groupBy("a").agg(*_stats_aggs()).collect()
+    )
+    pattern_rows = (
         union.groupBy("a", "s")
         .agg(F.count("o").alias("nv"))
-        .filter(F.col("nv") > 1)
-        .groupBy("a")
-        .agg(F.countDistinct("s").alias("multi"))
+        .groupBy("s")
+        .agg(
+            F.sort_array(F.collect_set("a")).alias("attrs"),
+            F.sort_array(F.collect_set(F.when(F.col("nv") > 1, F.col("a")))).alias(
+                "multi"
+            ),
+        )
+        .groupBy("attrs", "multi")
+        .count()
         .collect()
     )
-    stats = _finish_stats(rows, multi_rows)
+    multi: dict[str, int] = {}
+    patterns: dict[frozenset[str], int] = {}
+    for r in pattern_rows:
+        for a in r["multi"]:
+            multi[a] = multi.get(a, 0) + r["count"]
+        attrs = frozenset(r["attrs"])
+        patterns[attrs] = patterns.get(attrs, 0) + r["count"]
+    stats = _finish_stats(rows, multi)
     # Attributes absent from the CFS entirely get zeroed stats.
     for a in attributes:
         if a.name not in stats:
             stats[a.name] = AttributeStats(0, 0, 0, 0, False, 0.0, 0.0, None, None)
-    return stats
+    return stats, list(patterns.items())
 
 
 def analyzed(attributes: list[Attribute], stats: dict[str, AttributeStats]) -> list[AnalyzedAttribute]:

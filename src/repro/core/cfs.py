@@ -6,6 +6,13 @@ Three strategies, as in the paper:
                          outgoing properties;
   (iii) summary-based  — each equivalence class of the structural
                          summary (RDFQuotient substrate).
+
+Type- and summary-based CFSs are facts of the graph: ``graph_cfss``
+builds them once per loaded graph from the structural summary, whose
+one Spark job sizes both its classes and the rdf:types. A request then
+only filters and caps that list (``select_cfss``, ``analyzable``)
+without a Spark job; only the user-given property-based CFSs are
+computed per request.
 """
 from __future__ import annotations
 
@@ -20,7 +27,8 @@ from repro.rdf.triples import TripleStore
 
 @dataclass(frozen=True)
 class CandidateFactSet:
-    """A named set of candidate facts (single-column frame ``cf``)."""
+    """A named set of candidate facts (single-column frame ``cf`` of
+    distinct fact IDs)."""
 
     name: str
     df: DataFrame
@@ -28,35 +36,49 @@ class CandidateFactSet:
     source: str  # type | property | summary
 
 
+def _by_size(cfss: list[CandidateFactSet]) -> list[CandidateFactSet]:
+    """Decreasing size, ties by name: callers that cap at
+    ``config.max_cfss`` analyze the largest populations first,
+    mirroring the paper's preference for well-supported fact sets."""
+    return sorted(cfss, key=lambda c: (-c.size, c.name))
+
+
+def graph_cfss(summary: StructuralSummary) -> list[CandidateFactSet]:
+    """The type- and summary-based CFSs of a graph (load time): filters
+    over the summary's cached per-node frame, sized by the summary's
+    one job."""
+    out = [
+        CandidateFactSet(f"type:{t}", summary.members_of_type(t), n, "type")
+        for t, n in summary.type_sizes.items()
+    ]
+    out += [
+        CandidateFactSet(
+            f"summary:{c.class_id}", summary.members(c.class_id), c.size, "summary"
+        )
+        for c in summary.classes
+    ]
+    return _by_size(out)
+
+
 def select_cfss(
     store: TripleStore,
-    summary: StructuralSummary | None,
+    cfss: list[CandidateFactSet],
     config: SpadeConfig,
 ) -> list[CandidateFactSet]:
-    """Enumerate all CFSs; the analyzed subset is capped downstream.
+    """All CFSs of one request; the analyzed subset is capped downstream.
 
-    Returned sorted by decreasing size (ties by name) so callers that
-    cap at ``config.max_cfss`` analyze the largest populations first,
-    mirroring the paper's preference for well-supported fact sets.
+    ``cfss`` is the graph's list from ``graph_cfss``; summary classes
+    below ``config.min_cfs_size`` are dropped. Property-based CFSs
+    (``config.property_cfss``) are the only ones that cost Spark jobs
+    here. Returned sorted by decreasing size (ties by name).
     """
-    out: list[CandidateFactSet] = []
-    for t in store.types():
-        df = store.nodes_of_type(t).cache()
-        out.append(CandidateFactSet(f"type:{t}", df, df.count(), "type"))
+    out = [c for c in cfss if c.source != "summary" or c.size >= config.min_cfs_size]
     for props in config.property_cfss:
         df = store.subjects_with_properties(list(props)).cache()
         out.append(
             CandidateFactSet("props:" + "+".join(props), df, df.count(), "property")
         )
-    if summary is not None:
-        for cls in summary.classes:
-            if cls.size < config.min_cfs_size:
-                continue
-            df = summary.members(cls.class_id).cache()
-            out.append(
-                CandidateFactSet(f"summary:{cls.class_id}", df, cls.size, "summary")
-            )
-    return sorted(out, key=lambda c: (-c.size, c.name))
+    return _by_size(out)
 
 
 def analyzable(cfss: list[CandidateFactSet], config: SpadeConfig) -> list[CandidateFactSet]:

@@ -42,7 +42,7 @@ from pyspark.sql import functions as F
 
 from repro.core.config import COUNT_STAR, SpadeConfig
 from repro.core.enumeration import LatticeSpec
-from repro.core.interestingness import get as get_h
+from repro.core.interestingness import get as get_h, negligible_variance
 from repro.core.mda import MDAKey
 
 PRIO_COL = "__prio"
@@ -420,7 +420,7 @@ def _skewness_gradient(y: np.ndarray) -> np.ndarray:
     G = y.size
     d = y - y.mean()
     m2, m3 = (d**2).mean(), (d**3).mean()
-    if m2 <= 0:
+    if negligible_variance(m2, 3.0):  # m2**-2.5 would overflow
         return np.zeros_like(y)
     dm2 = 2.0 / G * d
     dm3 = 3.0 / G * (d**2 - m2)
@@ -433,7 +433,7 @@ def _kurtosis_gradient(y: np.ndarray) -> np.ndarray:
     G = y.size
     d = y - y.mean()
     m2, m3, m4 = (d**2).mean(), (d**3).mean(), (d**4).mean()
-    if m2 <= 0:
+    if negligible_variance(m2, 3.0):  # m2**3 would underflow
         return np.zeros_like(y)
     dm2 = 2.0 / G * d
     dm4 = 4.0 / G * (d**3 - m3)

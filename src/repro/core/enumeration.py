@@ -2,17 +2,15 @@
 
 From the analyzed attributes of a CFS we (a) pick eligible dimensions
 and measures by the paper's rules, (b) mine the Maximal Frequent Sets
-of dimension attributes to obtain one lattice per set, and (c) assign
+of dimension attributes to obtain one lattice per set (from the
+attribute-set patterns that online attribute analysis collected, so
+this step runs no Spark job), and (c) assign
 each lattice a measure set. Rule-based pruning removes meaningless
 candidates (derived-from conflicts, too-many-distinct dimensions).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
-
-from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
 
 from repro.core.attributes import AnalyzedAttribute
 from repro.core.config import COUNT_STAR, SpadeConfig
@@ -84,36 +82,21 @@ def eligible_measures(
 
 
 def dimension_transactions(
-    cfs_df: DataFrame,
+    patterns: list[tuple[frozenset[str], int]],
     dim_attrs: list[AnalyzedAttribute],
-    attr_union: DataFrame | None = None,
 ) -> list[tuple[frozenset[str], int]]:
-    """Weighted distinct per-CF dimension-attribute sets (one job)."""
-    if not dim_attrs:
-        return []
-    members = cfs_df.select(F.col("cf").alias("s")).distinct()
-    if attr_union is not None:
-        union = (
-            attr_union.filter(F.col("a").isin([a.name for a in dim_attrs]))
-            .join(members, "s")
-            .select("s", "a")
-        )
-    else:
-        frames = [
-            a.attribute.df.join(members, "s")
-            .select("s", F.lit(a.name).alias("a"))
-            .distinct()
-            for a in dim_attrs
-        ]
-        union = reduce(lambda x, y: x.unionByName(y), frames)
-    rows = (
-        union.groupBy("s")
-        .agg(F.sort_array(F.collect_set("a")).alias("attrs"))
-        .groupBy("attrs")
-        .agg(F.count("*").alias("n"))
-        .collect()
-    )
-    return [(frozenset(r["attrs"]), r["n"]) for r in rows]
+    """Weighted distinct per-CF dimension-attribute sets (the MFS
+    transactions), from the CFS's attribute-set patterns computed by
+    online attribute analysis. Restricting each CF's attribute set to
+    the dimensions commutes with grouping the CFs by that set, so
+    projecting the weighted patterns is exact; CFs with none of the
+    dimensions make no transaction."""
+    dims = {a.name for a in dim_attrs}
+    out: dict[frozenset[str], int] = {}
+    for attrs, n in patterns:
+        if t := attrs & dims:
+            out[t] = out.get(t, 0) + n
+    return list(out.items())
 
 
 def _resolve_conflicts(
@@ -131,19 +114,21 @@ def _resolve_conflicts(
 
 def enumerate_lattices(
     cfs_name: str,
-    cfs_df: DataFrame,
     n_facts: int,
     attrs: list[AnalyzedAttribute],
+    patterns: list[tuple[frozenset[str], int]],
     config: SpadeConfig,
-    attr_union: DataFrame | None = None,
 ) -> list[LatticeSpec]:
-    """Steps 3a-3c: eligible attributes -> MFS -> lattices + measures."""
+    """Steps 3a-3c: eligible attributes -> MFS -> lattices + measures.
+
+    ``patterns`` are the CFS's weighted attribute sets from
+    ``analyze_attributes``; enumeration runs no Spark job."""
     by_name = {a.name: a for a in attrs}
     dims = eligible_dimensions(attrs, n_facts, config)
     measures = eligible_measures(attrs, n_facts, config)
     if not dims:
         return []
-    transactions = dimension_transactions(cfs_df, dims, attr_union)
+    transactions = dimension_transactions(patterns, dims)
     min_sup = max(1, int(config.mfs_min_support_frac * n_facts))
     dim_sets = maximal_frequent_sets(transactions, min_sup, config.max_lattice_dims)
     specs: list[LatticeSpec] = []

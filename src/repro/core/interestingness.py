@@ -14,9 +14,9 @@ Definitions:
   apparent typo for the standard -3/2; see DESIGN.md);
 * kurtosis — m4 / m2² - 3, exactly the paper's Appendix A formula.
 
-Degenerate inputs (fewer than two groups, or zero variance where a
-moment ratio would divide by zero) score 0 — such aggregates are
-uninteresting by construction.
+Degenerate inputs (fewer than two groups, or a zero variance, or one
+whose powers underflow, where a moment ratio would divide by zero)
+score 0 — such aggregates are uninteresting by construction.
 """
 from __future__ import annotations
 
@@ -39,13 +39,20 @@ def _central_moments(v: np.ndarray) -> tuple[float, float, float]:
     return float((d**2).mean()), float((d**3).mean()), float((d**4).mean())
 
 
+def negligible_variance(m2: float, power: float = 2.0) -> bool:
+    """True for a zero variance, and for one so small that ``m2**power``
+    leaves float64's normal range (e.g. the values [0, 8.1e-96]): the
+    moment ratios would divide by zero or by rounding noise."""
+    return m2 <= 0 or m2**power < np.finfo(np.float64).tiny
+
+
 def skewness(values: np.ndarray) -> float:
     """|m3| / m2^{3/2}; 0 when undefined."""
     v = np.asarray(values, dtype=np.float64)
     if v.size < 2:
         return 0.0
     m2, m3, _ = _central_moments(v)
-    if m2 <= 0:
+    if negligible_variance(m2):
         return 0.0
     return float(abs(m3) / m2**1.5)
 
@@ -56,7 +63,7 @@ def kurtosis(values: np.ndarray) -> float:
     if v.size < 2:
         return 0.0
     m2, _, m4 = _central_moments(v)
-    if m2 <= 0:
+    if negligible_variance(m2):
         return 0.0
     return float(abs(m4 / m2**2 - 3.0))
 

@@ -2,10 +2,11 @@
 
 Transactions are the per-CF sets of eligible dimension attributes.
 Because the attribute universe is small (tens) and distinct attribute
-sets are few, we collect the *weighted* distinct transactions (set,
-count) with one Spark ``groupBy`` upstream and mine them level-wise on
-the driver (Apriori with a maximality filter), bounded at ``max_size``
-items — the paper's "each lattice has at most N attributes" filter.
+sets are few, the *weighted* distinct transactions (set, count) are
+projected from the attribute-set patterns that online attribute
+analysis already collected, and mined level-wise in Python
+(Apriori with a maximality filter), bounded at ``max_size`` items —
+the paper's "each lattice has at most N attributes" filter.
 """
 from __future__ import annotations
 

@@ -61,6 +61,17 @@ def translate(cfs_df: DataFrame, dim_attrs: list[Attribute]) -> DataFrame:
     return root
 
 
+def release_root(root: DataFrame) -> None:
+    """Free the blocks of a ``localCheckpoint``-ed root frame.
+
+    ``DataFrame.unpersist`` does not: it drops cached plans only, and a
+    local checkpoint's RDD otherwise stays persisted until the
+    ContextCleaner collects it after a JVM garbage collection. The
+    frame is unusable afterwards.
+    """
+    root._jdf.queryExecution().analyzed().rdd().unpersist(False)
+
+
 def _value_col(preagg: PreAggregatedMeasures, measure: str, func: str) -> Column:
     cols = preagg.columns_for(measure)
     if func == "count":
@@ -240,7 +251,7 @@ class MVDCubeEvaluator:
         if not branches and not clean_branches:
             if own_roots:
                 for r in root_dfs:
-                    r.unpersist()
+                    release_root(r)
             return
 
         parts: list[DataFrame] = []
@@ -279,4 +290,4 @@ class MVDCubeEvaluator:
                 self.results[key] = extract_mda(part, names, vcol, func=f)
         if own_roots:
             for r in root_dfs:
-                r.unpersist()
+                release_root(r)

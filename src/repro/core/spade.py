@@ -1,9 +1,12 @@
 """Spade end-to-end pipeline (Figure 2).
 
-Offline phase: structural summary, offline attribute analysis, derived
-property enumeration. Online phase: CFS selection → online attribute
-analysis → aggregate enumeration → aggregate evaluation (MVDCube or
-PGCube, optionally with early-stop) → top-k computation. Every step is
+Offline phase: structural summary, the graph's type- and summary-based
+CFSs, offline attribute analysis, derived property enumeration, and the
+cached attribute tables. Online phase: CFS selection (filtering the
+graph's CFSs; no Spark job) → online attribute analysis (two Spark jobs
+per CFS) → aggregate enumeration (no Spark job, from the analysis's
+attribute-set patterns) → aggregate evaluation (MVDCube or PGCube,
+optionally with early-stop) → top-k computation. Every step is
 wall-clock timed (`SpadeResult.times`) for Experiment 5's breakdown.
 """
 from __future__ import annotations
@@ -24,7 +27,7 @@ from repro.core.attributes import (
     attribute_union,
     offline_property_stats,
 )
-from repro.core.cfs import CandidateFactSet, analyzable, select_cfss
+from repro.core.cfs import CandidateFactSet, analyzable, graph_cfss, select_cfss
 from repro.core.config import SpadeConfig
 from repro.core.derived import DerivationCounts, derive_attributes, direct_attributes
 from repro.core.earlystop import (
@@ -35,7 +38,7 @@ from repro.core.earlystop import (
 )
 from repro.core.enumeration import LatticeSpec, enumerate_lattices
 from repro.core.mda import MDAKey
-from repro.core.mvdcube import MVDCubeEvaluator, translate
+from repro.core.mvdcube import MVDCubeEvaluator, release_root, translate
 from repro.core.pgcube import PGCubeEvaluator
 from repro.core.preagg import preaggregate
 from repro.rdf.summary import StructuralSummary
@@ -58,6 +61,7 @@ class OfflineArtifacts:
     offline_stats: dict[str, AttributeStats]
     attributes: list[Attribute]  # direct + derived
     derivations: DerivationCounts
+    cfss: list[CandidateFactSet]  # type- and summary-based, sorted by size
     attr_union: DataFrame | None = None  # cached tagged union (a, s, o)
     times: dict[str, float] = field(default_factory=dict)
 
@@ -67,10 +71,12 @@ class OfflineArtifacts:
 
 
 def offline_phase(store: TripleStore, config: SpadeConfig) -> OfflineArtifacts:
-    """Load-time processing: summary, stats, derivations (Figure 2 left)."""
+    """Load-time processing: summary, CFSs, stats, derivations (Figure 2
+    left)."""
     times: dict[str, float] = {}
     with _timed(times, "summary"):
         summary = StructuralSummary(store)
+        cfss = graph_cfss(summary)
     with _timed(times, "offline_attribute_analysis"):
         stats = offline_property_stats(store)
     with _timed(times, "derived_property_enumeration"):
@@ -83,8 +89,22 @@ def offline_phase(store: TripleStore, config: SpadeConfig) -> OfflineArtifacts:
         attrs = [
             Attribute(a.name, a.df.cache(), a.kind, a.derived_from) for a in attrs
         ]
-        union = attribute_union(attrs).cache() if attrs else None
-    return OfflineArtifacts(store, summary, stats, attrs, counts, union, times)
+        # Hash-partitioned by subject like the CFS frames (the summary's
+        # node frame): the online analysis's join with a CFS and its
+        # per-subject groupBys then shuffle neither side, and it runs one
+        # task per shuffle partition, not one per partition of every
+        # attribute table. An explicit count, which adaptive execution
+        # does not coalesce.
+        conf = store.triples.sparkSession.conf
+        partitions = int(conf.get("spark.sql.shuffle.partitions"))
+        union = (
+            attribute_union(attrs).repartition(partitions, "s").cache()
+            if attrs
+            else None
+        )
+    return OfflineArtifacts(
+        store, summary, stats, attrs, counts, cfss, union, times
+    )
 
 
 @dataclass
@@ -115,20 +135,20 @@ class SpadeResult:
 def analyze_and_enumerate(
     offline: OfflineArtifacts, config: SpadeConfig, times: dict[str, float]
 ) -> list[CFSAnalysis]:
-    """Steps 1-3 for every analyzable CFS."""
-    store = offline.store
+    """Steps 1-3 for every analyzable CFS: two Spark jobs per CFS (the
+    online analysis), none for selection or enumeration."""
     with _timed(times, "cfs_selection"):
-        cfss = analyzable(select_cfss(store, offline.summary, config), config)
+        cfss = analyzable(select_cfss(offline.store, offline.cfss, config), config)
     analyses: list[CFSAnalysis] = []
     for cfs in cfss:
         with _timed(times, "online_attribute_analysis"):
-            stats = analyze_attributes(cfs.df, offline.attributes, offline.attr_union)
+            stats, patterns = analyze_attributes(
+                cfs.df, offline.attributes, offline.attr_union
+            )
             present = [a for a in offline.attributes if stats[a.name].support > 0]
             alist = analyzed(present, stats)
         with _timed(times, "aggregate_enumeration"):
-            lattices = enumerate_lattices(
-                cfs.name, cfs.df, cfs.size, alist, config, offline.attr_union
-            )
+            lattices = enumerate_lattices(cfs.name, cfs.size, alist, patterns, config)
         analyses.append(CFSAnalysis(cfs, alist, lattices))
     return analyses
 
@@ -256,7 +276,7 @@ def evaluate_analyses(
                         if key not in arm:  # first lattice wins (no reuse)
                             arm.add(key, res)
             for _, root in roots:
-                root.unpersist()
+                release_root(root)
             preagg.unpersist()
 
     with _timed(times, "topk"):

@@ -10,6 +10,9 @@ equivalence and exactly what Spade consumes from the summary:
 * the set of all properties in the graph,
 * groups of nodes "considered equivalent" (summary-based CFSs),
 * per-group property sets (used to expedite attribute enumeration).
+
+The same per-node pass also records each node's rdf:types, so the
+type-based CFSs and their sizes come out of the summary's one job too.
 """
 from __future__ import annotations
 
@@ -19,6 +22,8 @@ from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 from repro.rdf.triples import RDF_TYPE, TripleStore
+
+_SEP = "\x1f"  # joins a node's sorted property names into its class key
 
 
 @dataclass(frozen=True)
@@ -35,26 +40,39 @@ class StructuralSummary:
 
     def __init__(self, store: TripleStore):
         self._store = store
-        # (s, cs) where cs is the sorted concatenation of outgoing props.
-        cs = (
-            store.triples.filter(F.col("p") != RDF_TYPE)
-            .groupBy("s")
-            .agg(F.sort_array(F.collect_set("p")).alias("props"))
-            .withColumn("cs", F.concat_ws("\x1f", F.col("props")))
+        # (s, cs, types): cs is the sorted concatenation of the outgoing
+        # properties ("" for a node with rdf:type triples only, which is
+        # in no class). Hash-partitioned by subject, like every frame of
+        # facts cached at load.
+        is_type = F.col("p") == RDF_TYPE
+        self._nodes = (
+            store.triples.groupBy("s")
+            .agg(
+                F.concat_ws(
+                    _SEP, F.sort_array(F.collect_set(F.when(~is_type, F.col("p"))))
+                ).alias("cs"),
+                F.sort_array(F.collect_set(F.when(is_type, F.col("o")))).alias("types"),
+            )
+            .cache()
         )
-        self._node_cs = cs.select("s", "cs").cache()
-        sizes = (
-            cs.groupBy("cs")
-            .agg(F.count("*").alias("size"), F.first("props").alias("props"))
-            .collect()
-        )
+        # One job counts the nodes per (class, type set), which sizes both
+        # the classes and the types; it also materializes the cached
+        # frame, so the CFSs (filters over it) are ready.
+        class_sizes: dict[str, int] = {}
+        #: Number of nodes of each rdf:type.
+        self.type_sizes: dict[str, int] = {}
+        for r in self._nodes.groupBy("cs", "types").count().collect():
+            if r["cs"]:
+                class_sizes[r["cs"]] = class_sizes.get(r["cs"], 0) + r["count"]
+            for t in r["types"]:
+                self.type_sizes[t] = self.type_sizes.get(t, 0) + r["count"]
         # Deterministic class ids: order by descending size then cs text.
-        ordered = sorted(sizes, key=lambda r: (-r["size"], r["cs"]))
+        ordered = sorted(class_sizes, key=lambda cs: (-class_sizes[cs], cs))
         self.classes: list[SummaryClass] = [
-            SummaryClass(i, frozenset(r["props"]), r["size"])
-            for i, r in enumerate(ordered)
+            SummaryClass(i, frozenset(cs.split(_SEP)), class_sizes[cs])
+            for i, cs in enumerate(ordered)
         ]
-        self._cs_by_id = {c.class_id: "\x1f".join(sorted(c.properties)) for c in self.classes}
+        self._cs_by_id = dict(enumerate(ordered))
 
     def num_classes(self) -> int:
         return len(self.classes)
@@ -62,9 +80,12 @@ class StructuralSummary:
     def members(self, class_id: int) -> DataFrame:
         """Single-column frame ``cf`` with the members of one class."""
         cs = self._cs_by_id[class_id]
-        return (
-            self._node_cs.filter(F.col("cs") == cs)
-            .select(F.col("s").alias("cf"))
+        return self._nodes.filter(F.col("cs") == cs).select(F.col("s").alias("cf"))
+
+    def members_of_type(self, rdf_type: str) -> DataFrame:
+        """Single-column frame ``cf`` with the nodes of one rdf:type."""
+        return self._nodes.filter(F.array_contains("types", rdf_type)).select(
+            F.col("s").alias("cf")
         )
 
     def all_properties(self) -> frozenset[str]:
@@ -75,4 +96,4 @@ class StructuralSummary:
         return frozenset(out)
 
     def unpersist(self) -> None:
-        self._node_cs.unpersist()
+        self._nodes.unpersist()

@@ -21,7 +21,7 @@ from pyspark.sql import SparkSession
 from repro.core import spade
 from repro.core.config import COUNT_STAR, SpadeConfig
 from repro.core.mda import MDAKey
-from repro.core.mvdcube import MVDCubeEvaluator, translate
+from repro.core.mvdcube import MVDCubeEvaluator, release_root, translate
 from repro.core.pgcube import PGCubeEvaluator
 from repro.core.preagg import preaggregate
 from repro.datagen import real_graphs
@@ -128,7 +128,7 @@ def _evaluate_all(spark, analyses, config):
             else:
                 t_star += dt
         for _, root in roots:
-            root.unpersist()
+            release_root(root)
         preagg.unpersist()
     return mvd, pg_star, pg_dist, t_mvd, t_star, t_dist
 

@@ -14,6 +14,7 @@ os.environ.setdefault("SPARK_SHUFFLE_PARTITIONS", "8")
 
 import pytest
 
+from repro.core import spade
 from repro.core.config import SpadeConfig
 from repro.datagen import real_graphs
 from tests.helpers import figure1_store
@@ -54,3 +55,9 @@ def test_config():
         funcs=("count", "sum", "avg"),
         max_paths=10,
     )
+
+
+@pytest.fixture(scope="session")
+def ceos_offline(ceos_store, test_config):
+    """The CEOs analog's offline phase (its graph-level artifacts)."""
+    return spade.offline_phase(ceos_store, test_config)

@@ -88,7 +88,7 @@ def _attrs(store):
 
 def test_online_restricted_to_cfs(spark, store):
     cfs = store.nodes_of_type("T")  # a, b — excludes c
-    stats = analyze_attributes(cfs, _attrs(store))
+    stats, _ = analyze_attributes(cfs, _attrs(store))
     assert stats["cat"].support == 2
     assert stats["cat"].n_distinct == 2  # z belongs to c only
 
@@ -96,7 +96,7 @@ def test_online_restricted_to_cfs(spark, store):
 def test_online_zero_stats_for_absent_attribute(spark, store):
     cfs = store.nodes_of_type("T")
     missing = Attribute("nope", store.property_table("nope"), "direct")
-    stats = analyze_attributes(cfs, _attrs(store) + [missing])
+    stats, _ = analyze_attributes(cfs, _attrs(store) + [missing])
     assert stats["nope"].support == 0
 
 
@@ -104,6 +104,6 @@ def test_online_with_prebuilt_union(spark, store):
     cfs = store.nodes_of_type("T")
     attrs = _attrs(store)
     union = attribute_union(attrs).cache()
-    stats = analyze_attributes(cfs, attrs, union)
+    stats, _ = analyze_attributes(cfs, attrs, union)
     assert stats["num"].support == 2
     union.unpersist()

@@ -16,6 +16,7 @@ from repro.core.earlystop import (
     draw_root_sample,
     early_stop_prune,
     estimate_interestingness,
+    gradient,
 )
 from repro.core.enumeration import LatticeSpec
 from repro.core.mda import MDAKey
@@ -37,6 +38,13 @@ def test_variance_gradient_closed_form_matches_numeric():
     y = np.array([1.0, 4.0, 2.0, 7.0])
     num = _numeric_gradient(variance, y)
     assert np.allclose(_variance_gradient(y), num, atol=1e-4)
+
+
+@pytest.mark.parametrize("h_name", ["skewness", "kurtosis"])
+def test_moment_gradients_finite_when_variance_underflows(h_name):
+    # m2 > 0, but m2**-2.5 overflows and m2**3 underflows.
+    g = gradient(h_name, np.array([0.0, 8.1e-96]))
+    assert np.all(np.isfinite(g))
 
 
 # ---------------------------------------------------------------------------

@@ -81,23 +81,22 @@ def enum_attrs(enum_store):
         Attribute(n, enum_store.property_table(n), "direct")
         for n in ("d1", "d2", "d3", "m")
     ]
-    cfs = enum_store.nodes_of_type("T")
-    stats = analyze_attributes(cfs, attrs)
-    return cfs, analyzed(attrs, stats)
+    stats, patterns = analyze_attributes(enum_store.nodes_of_type("T"), attrs)
+    return patterns, analyzed(attrs, stats)
 
 
 def test_dimension_transactions(enum_attrs):
-    cfs, alist = enum_attrs
+    patterns, alist = enum_attrs
     dims = [a for a in alist if a.name in ("d1", "d2", "d3")]
-    tx = dimension_transactions(cfs, dims)
+    tx = dimension_transactions(patterns, dims)
     as_dict = {t: w for t, w in tx}
     assert as_dict[frozenset({"d1", "d2", "d3"})] == 20
     assert as_dict[frozenset({"d1", "d2"})] == 20
 
 
 def test_enumerate_lattices_mfs(enum_attrs):
-    cfs, alist = enum_attrs
-    specs = enumerate_lattices("T", cfs, 40, alist, SpadeConfig())
+    patterns, alist = enum_attrs
+    specs = enumerate_lattices("T", 40, alist, patterns, SpadeConfig())
     # d3 has support 0.5 => {d1, d2, d3} is frequent at the 0.5
     # threshold and is the single maximal set.
     assert len(specs) == 1
@@ -105,23 +104,23 @@ def test_enumerate_lattices_mfs(enum_attrs):
 
 
 def test_enumerate_lattices_higher_threshold(enum_attrs):
-    cfs, alist = enum_attrs
+    patterns, alist = enum_attrs
     specs = enumerate_lattices(
-        "T", cfs, 40, alist, SpadeConfig(mfs_min_support_frac=0.75,
-                                         min_support_frac=0.75)
+        "T", 40, alist, patterns, SpadeConfig(mfs_min_support_frac=0.75,
+                                              min_support_frac=0.75)
     )
     assert len(specs) == 1 and set(specs[0].dims) == {"d1", "d2"}
 
 
 def test_measures_exclude_dims(enum_attrs):
-    cfs, alist = enum_attrs
-    specs = enumerate_lattices("T", cfs, 40, alist, SpadeConfig())
+    patterns, alist = enum_attrs
+    specs = enumerate_lattices("T", 40, alist, patterns, SpadeConfig())
     assert specs[0].measures == ("m",)
 
 
 def test_dims_ordered_by_distinct_count(enum_attrs):
-    cfs, alist = enum_attrs
-    specs = enumerate_lattices("T", cfs, 40, alist, SpadeConfig())
+    patterns, alist = enum_attrs
+    specs = enumerate_lattices("T", 40, alist, patterns, SpadeConfig())
     by_name = {a.name: a.stats.n_distinct for a in alist}
     counts = [by_name[d] for d in specs[0].dims]
     assert counts == sorted(counts, reverse=True)
@@ -158,8 +157,8 @@ def test_measure_conflicting_with_dim_excluded(enum_store):
         ),
         Attribute("m", enum_store.property_table("m"), "direct"),
     ]
-    stats = analyze_attributes(cfs, attrs)
-    specs = enumerate_lattices("T", cfs, 40, analyzed(attrs, stats), SpadeConfig())
+    stats, patterns = analyze_attributes(cfs, attrs)
+    specs = enumerate_lattices("T", 40, analyzed(attrs, stats), patterns, SpadeConfig())
     for spec in specs:
         if "d1" in spec.dims:
             assert "count(d1)" not in spec.measures
@@ -189,7 +188,7 @@ def test_count_distinct_mdas_dedupes_shared_nodes():
 
 
 def test_max_lattice_dims_cap(enum_attrs):
-    cfs, alist = enum_attrs
-    specs = enumerate_lattices("T", cfs, 40, alist,
+    patterns, alist = enum_attrs
+    specs = enumerate_lattices("T", 40, alist, patterns,
                                SpadeConfig(max_lattice_dims=2))
     assert all(len(s.dims) <= 2 for s in specs)

@@ -1,7 +1,7 @@
 """Unit tests for interestingness functions (variance/skewness/kurtosis)."""
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.core.interestingness import FUNCTIONS, get, kurtosis, skewness, variance
@@ -63,6 +63,7 @@ def test_registry_unknown():
 
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.floats(-1e6, 1e6), min_size=0, max_size=30))
+@example([0.0, 8.1e-96])  # m2 > 0, but m2**2 underflows to 0
 def test_property_scores_non_negative_finite(values):
     v = np.array(values)
     for name, h in FUNCTIONS.items():

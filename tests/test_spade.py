@@ -7,11 +7,6 @@ from repro.core.mda import MDAKey
 
 
 @pytest.fixture(scope="module")
-def ceos_offline(ceos_store, test_config):
-    return spade.offline_phase(ceos_store, test_config)
-
-
-@pytest.fixture(scope="module")
 def ceos_analyses(spark, ceos_offline, test_config):
     """Steps 1-3 shared by every evaluation test in this module."""
     return spade.analyze_and_enumerate(ceos_offline, test_config, {})

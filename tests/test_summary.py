@@ -62,3 +62,16 @@ def test_classes_partition_subjects(store):
         all_members |= members
     assert all_members == {"a", "b", "c", "d"}
     summary.unpersist()
+
+
+def test_types(spark):
+    # "e" has rdf:type only: a node of its type, in no class.
+    rows = [("d", RDF_TYPE, "T"), ("d", RDF_TYPE, "U"), ("d", "p1", "w"),
+            ("e", RDF_TYPE, "T"), ("f", "p1", "x")]
+    store = TripleStore(triples_from_rows(spark, rows))
+    summary = StructuralSummary(store)
+    assert summary.type_sizes == {"T": 2, "U": 1}
+    assert {r["cf"] for r in summary.members_of_type("T").collect()} == {"d", "e"}
+    assert [c.size for c in summary.classes] == [2]  # d, f
+    summary.unpersist()
+    store.unpersist()
