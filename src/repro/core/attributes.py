@@ -21,6 +21,7 @@ from functools import reduce
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
+from repro.core.query import Query
 from repro.rdf.triples import RDF_TYPE, TripleStore
 
 
@@ -85,21 +86,25 @@ class AnalyzedAttribute:
         return self.attribute.name
 
 
+#: Aggregates shared by offline and online analysis, as SQL over
+#: (a, s, o, is_node). try_cast: ANSI mode (Spark 4 default) makes plain
+#: cast throw on non-numeric strings; we want NULL to detect numeric
+#: properties.
+_STATS = (
+    "count(DISTINCT s) AS support",
+    "count(o) AS n_values",
+    "count(DISTINCT o) AS n_distinct",
+    "sum(IF(try_cast(o AS DOUBLE) IS NULL, 1, 0)) AS non_numeric",
+    r"avg(IF(o RLIKE '\\s', 1D, 0D)) AS text_frac",
+    "avg(IF(is_node = 1, 1D, 0D)) AS ref_frac",
+    "min(try_cast(o AS DOUBLE)) AS vmin",
+    "max(try_cast(o AS DOUBLE)) AS vmax",
+)
+
+
 def _stats_aggs() -> list:
-    """Aggregate expressions shared by offline and online analysis."""
-    # try_cast: ANSI mode (Spark 4 default) makes plain cast throw on
-    # non-numeric strings; we want NULL to detect numeric properties.
-    _NUMERIC = F.col("o").try_cast("double")
-    return [
-        F.countDistinct("s").alias("support"),
-        F.count("o").alias("n_values"),
-        F.countDistinct("o").alias("n_distinct"),
-        F.sum(F.when(_NUMERIC.isNull(), 1).otherwise(0)).alias("non_numeric"),
-        F.avg(F.when(F.col("o").rlike(r"\s"), 1.0).otherwise(0.0)).alias("text_frac"),
-        F.avg(F.when(F.col("is_node") == 1, 1.0).otherwise(0.0)).alias("ref_frac"),
-        F.min(_NUMERIC).alias("vmin"),
-        F.max(_NUMERIC).alias("vmax"),
-    ]
+    """The shared aggregates as Columns."""
+    return [F.expr(e) for e in _STATS]
 
 
 def _finish_stats(rows, multi: dict[str, int]) -> dict[str, AttributeStats]:
@@ -156,6 +161,21 @@ def attribute_union(attributes: list[Attribute]) -> DataFrame:
     return reduce(lambda x, y: x.unionByName(y), frames)
 
 
+#: The union restricted to one CFS (its frame holds distinct facts);
+#: reference detection is an offline decision, so ``is_node`` is 0.
+_IN_CFS = "SELECT u.a, u.s, u.o, 0 AS is_node FROM {union} u JOIN {cfs} c ON u.s = c.cf"
+
+#: Per fact, its attribute set and the subset it has several values of,
+#: counted by (set, subset).
+_PATTERNS = (
+    "SELECT attrs, multi, count(1) AS count FROM ("
+    "SELECT sort_array(collect_set(a)) AS attrs,"
+    " sort_array(collect_set(IF(nv > 1, a, NULL))) AS multi FROM ("
+    f"SELECT a, s, count(o) AS nv FROM ({_IN_CFS}) GROUP BY a, s"
+    ") GROUP BY s) GROUP BY attrs, multi"
+)
+
+
 def analyze_attributes(
     cfs_df: DataFrame,
     attributes: list[Attribute],
@@ -165,8 +185,8 @@ def analyze_attributes(
 
     All attributes come as one tagged union frame, restricted to the
     CFS by one join (``cfs_df`` holds distinct facts, as every
-    ``CandidateFactSet`` frame does). The analysis costs two Spark jobs
-    regardless of the attribute count:
+    ``CandidateFactSet`` frame does). The analysis is two SQL
+    statements, two Spark jobs, regardless of the attribute count:
 
     * per-attribute statistics (one ``groupBy("a")``);
     * the CFS's attribute-set patterns: for each fact, the set of its
@@ -182,24 +202,10 @@ def analyze_attributes(
         return {}, []
     if attr_union is None:
         attr_union = attribute_union(attributes)
-    union = attr_union.join(cfs_df.select(F.col("cf").alias("s")), "s")
-    rows = (
-        union.withColumn("is_node", F.lit(0)).groupBy("a").agg(*_stats_aggs()).collect()
-    )
-    pattern_rows = (
-        union.groupBy("a", "s")
-        .agg(F.count("o").alias("nv"))
-        .groupBy("s")
-        .agg(
-            F.sort_array(F.collect_set("a")).alias("attrs"),
-            F.sort_array(F.collect_set(F.when(F.col("nv") > 1, F.col("a")))).alias(
-                "multi"
-            ),
-        )
-        .groupBy("attrs", "multi")
-        .count()
-        .collect()
-    )
+    frames = {"union": attr_union, "cfs": cfs_df}
+    stats_sql = f"SELECT a, {', '.join(_STATS)} FROM ({_IN_CFS}) GROUP BY a"
+    rows = Query(stats_sql, frames=frames).run().collect()
+    pattern_rows = Query(_PATTERNS, frames=frames).run().collect()
     multi: dict[str, int] = {}
     patterns: dict[frozenset[str], int] = {}
     for r in pattern_rows:

@@ -2,16 +2,11 @@
 
 Pipeline:
 
-1. **Stratified reservoir sampling** during Data Translation: one pass
-   over the root fact-cell frame (joined with the pre-aggregated
-   measures) fills a per-cell reservoir via a Spark *accumulator*
-   (`ReservoirAccumulatorParam`): each task offers its partition's rows
-   keyed by cell; the merge keeps the bottom-``capacity`` rows by a
-   deterministic per-row hash priority — a mergeable bottom-k sketch,
-   equivalent to reservoir sampling [44] (idempotent under task retry
-   because rows are deduplicated by fact id and priorities are
-   deterministic). The accumulator carries the stopping condition's
-   inputs; the driver checks the condition between batches.
+1. **Stratified reservoir sampling** during Data Translation: one SQL
+   statement over the root fact-cell relations (joined with the
+   pre-aggregated measures) keeps, per cell, the bottom-``capacity``
+   facts by a deterministic per-row hash priority — a bottom-k sketch,
+   equivalent to reservoir sampling [44] — and the cell's exact size.
 2. **Propagation**: per-node samples are the root-cell samples
    projected onto the node's dimensions with facts deduplicated per
    child group — the bitmap-based sample propagation of Figure 5.
@@ -36,14 +31,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from pyspark import AccumulatorParam
-from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
+import pandas as pd
 
 from repro.core.config import COUNT_STAR, SpadeConfig
 from repro.core.enumeration import LatticeSpec
 from repro.core.interestingness import get as get_h, negligible_variance
 from repro.core.mda import MDAKey
+from repro.core.preagg import PreAggregatedMeasures
+from repro.core.query import Query, with_ctes
 
 PRIO_COL = "__prio"
 
@@ -51,36 +46,6 @@ PRIO_COL = "__prio"
 # ---------------------------------------------------------------------------
 # Sampling
 # ---------------------------------------------------------------------------
-class ReservoirAccumulatorParam(AccumulatorParam):
-    """Mergeable per-cell bottom-k reservoir with exact cell counts.
-
-    Value: dict[cell_key -> [count, dict[cf -> (priority, mvals)]]];
-    the fact dict is trimmed to the ``capacity`` lowest-priority facts
-    per cell on every merge, while ``count`` accumulates the exact cell
-    population (so no separate counting job is needed).
-    """
-
-    def __init__(self, capacity: int):
-        self.capacity = capacity
-
-    def zero(self, value):  # noqa: D102 - AccumulatorParam API
-        return {}
-
-    def _trim(self, cell: dict) -> dict:
-        if len(cell) <= self.capacity:
-            return cell
-        keep = sorted(cell.items(), key=lambda kv: kv[1][0])[: self.capacity]
-        return dict(keep)
-
-    def addInPlace(self, v1, v2):  # noqa: D102 - AccumulatorParam API
-        for cell_key, (count, cell) in v2.items():
-            mine = v1.setdefault(cell_key, [0, {}])
-            mine[0] += count
-            mine[1].update(cell)  # dedupe by cf (idempotent under retries)
-            mine[1] = self._trim(mine[1])
-        return v1
-
-
 @dataclass
 class RootSample:
     """The stratified sample + exact cell counts of one lattice root."""
@@ -95,8 +60,6 @@ class RootSample:
     def frame(self):
         """The sample as a pandas frame (d0.., cf, prio, measure cols),
         globally sorted by priority — built once, cached."""
-        import pandas as pd
-
         if not hasattr(self, "_frame"):
             dim_cols = [f"d{i}" for i in range(self.n_dims)]
             mcols = [
@@ -121,8 +84,6 @@ class RootSample:
 
     def counts_frame(self):
         """Exact root-cell counts as a pandas frame (d0.., n)."""
-        import pandas as pd
-
         if not hasattr(self, "_counts"):
             dim_cols = [f"d{i}" for i in range(self.n_dims)]
             rows = [
@@ -136,115 +97,55 @@ class RootSample:
 
 
 def draw_root_samples(
-    spark: SparkSession,
-    roots_joined: list[tuple[DataFrame, int]],
+    roots: list[tuple[Query, int]],
+    preagg: PreAggregatedMeasures,
     *,
-    measures: tuple[str, ...],
     capacity: int,
     seed: int,
 ) -> list[RootSample]:
-    """One accumulator pass sampling *several* lattice roots at once.
+    """One statement sampling *several* lattice roots at once.
 
-    ``roots_joined`` lists (root ⨝ pre-aggregates, n_dims) per lattice;
-    the roots are unioned with a lattice tag (dim columns padded to the
-    widest lattice) so all reservoirs of a CFS fill in a single Spark
-    job — the sampling-overhead amortization that keeps early-stop a
-    net win (the paper observed negative gains when sampling overhead
-    dominates; see Table 4's Foodista/DBLP rows).
+    ``roots`` lists (root fragment, n_dims) per lattice; each root is
+    joined with the pre-aggregates and tagged with its lattice (dim
+    columns padded to the widest lattice), and a window over each
+    (lattice, cell) keeps the ``capacity`` facts of lowest priority
+    ``xxhash64(seed, cf, cell)`` — a bottom-k sketch, equivalent to
+    reservoir sampling [44] — plus the cell's exact size. All
+    reservoirs of a CFS fill in one Spark action, the
+    sampling-overhead amortization that keeps early-stop a net win (the
+    paper observed negative gains when sampling overhead dominates; see
+    Table 4's Foodista/DBLP rows).
     """
-    assert roots_joined
-    max_n = max(n for _, n in roots_joined)
-    mcols = [
-        f"m{i}_{f}" for i in range(len(measures)) for f in ("cnt", "sum", "min", "max")
-    ]
-    dims_by_lat = {str(li): n for li, (_, n) in enumerate(roots_joined)}
-    tagged = []
-    for li, (df, n) in enumerate(roots_joined):
-        cols = [F.lit(str(li)).alias("lat")]
-        cols += [
-            (F.col(f"d{i}") if i < n else F.lit(None).cast("string")).alias(f"d{i}")
-            for i in range(max_n)
-        ]
-        prio = F.xxhash64(
-            F.lit(seed), F.col("cf"), *[F.col(f"d{i}") for i in range(n)]
+    assert roots
+    max_n = max(n for _, n in roots)
+    mcols = [c for m in preagg.measures for c in preagg.columns_for(m).values()]
+    cell = ", ".join(["lat"] + [f"d{i}" for i in range(max_n)])
+    selects = []
+    for li, (_, n) in enumerate(roots):
+        dcols = [f"d{i}" if i < n else f"CAST(NULL AS STRING) AS d{i}" for i in range(max_n)]
+        prio = f"xxhash64(:seed, cf{''.join(f', d{i}' for i in range(n))})"
+        selects.append(
+            f"SELECT {li} AS lat, {', '.join(dcols)}, cf, {prio} AS {PRIO_COL}, "
+            f"{', '.join(mcols)} FROM r{li} LEFT JOIN pre USING (cf)"
         )
-        cols += [F.col("cf"), prio.alias(PRIO_COL)]
-        cols += [F.col(c) for c in mcols]
-        tagged.append(df.select(*cols))
-    from functools import reduce as _reduce
-
-    union = _reduce(lambda a, b: a.unionByName(b), tagged)
-    acc = spark.sparkContext.accumulator({}, ReservoirAccumulatorParam(capacity))
-    cap = capacity
-    max_dim_cols = [f"d{i}" for i in range(max_n)]
-
-    def offer(batches):
-        """Vectorized per-partition reservoir: trim each Arrow batch to
-        the bottom-``cap`` rows per cell (pandas ops), then offer the
-        survivors — plus exact per-cell counts — to the accumulator."""
-        import pandas as pd
-
-        for pdf in batches:
-            if pdf.empty:
-                continue
-            keycols = ["lat"] + max_dim_cols
-            counts = pdf.groupby(keycols, dropna=False, sort=False).size()
-            trimmed = pdf.sort_values(PRIO_COL, kind="stable")
-            trimmed = trimmed[
-                trimmed.groupby(keycols, dropna=False, sort=False).cumcount() < cap
-            ]
-            local: dict = {}
-            for rd in trimmed.to_dict("records"):
-                lat = rd["lat"]
-                n = dims_by_lat[lat]
-                cell_key = (lat,) + tuple(
-                    None if pd.isna(v := rd[f"d{i}"]) else v for i in range(n)
-                )
-                mvals = {c: rd[c] for c in mcols if not pd.isna(rd[c])}
-                entry = local.setdefault(cell_key, [0, {}])
-                entry[1][rd["cf"]] = (rd[PRIO_COL], mvals)
-            for key, cnt in counts.items():
-                lat = key[0]
-                n = dims_by_lat[lat]
-                cell_key = (lat,) + tuple(
-                    None if pd.isna(v) else v for v in key[1 : 1 + n]
-                )
-                entry = local.setdefault(cell_key, [0, {}])
-                entry[0] += int(cnt)
-            acc.add(local)
-        yield from ()  # no output rows; the accumulator carries the data
-
-    union.mapInPandas(offer, schema="lat string").count()
-    cells_by_lat: dict[str, dict] = {str(li): {} for li in range(len(roots_joined))}
-    counts_by_lat: dict[str, dict] = {str(li): {} for li in range(len(roots_joined))}
-    for key, (count, cell) in acc.value.items():
-        lat, cell_key = key[0], key[1:]
-        cells_by_lat[lat][cell_key] = sorted(
-            ((prio, cf, mvals) for cf, (prio, mvals) in cell.items()),
-            key=lambda t: t[0],
-        )[:capacity]
-        counts_by_lat[lat][cell_key] = count
-    return [
-        RootSample(n, measures, cells_by_lat[str(li)], counts_by_lat[str(li)])
-        for li, (_, n) in enumerate(roots_joined)
-    ]
-
-
-def draw_root_sample(
-    spark: SparkSession,
-    root_joined: DataFrame,
-    *,
-    n_dims: int,
-    measures: tuple[str, ...],
-    capacity: int,
-    seed: int,
-) -> RootSample:
-    """One accumulator pass over a single root ⨝ pre-aggregates."""
-    (sample,) = draw_root_samples(
-        spark, [(root_joined, n_dims)], measures=measures, capacity=capacity,
+    pdf = with_ctes(
+        [(f"r{li}", root) for li, (root, _) in enumerate(roots)] + [("pre", preagg.query)],
+        f"SELECT * FROM (SELECT *, row_number() OVER (PARTITION BY {cell} "
+        f"ORDER BY {PRIO_COL}) AS pos, count(1) OVER (PARTITION BY {cell}) AS n "
+        f"FROM ({' UNION ALL '.join(selects)})) WHERE pos <= :capacity",
         seed=seed,
-    )
-    return sample
+        capacity=capacity,
+    ).run().toPandas()
+    samples = [RootSample(n, preagg.measures, {}, {}) for _, n in roots]
+    for rd in pdf.sort_values(PRIO_COL, kind="stable").to_dict("records"):
+        sample = samples[rd["lat"]]
+        key = tuple(
+            None if pd.isna(v := rd[f"d{i}"]) else v for i in range(sample.n_dims)
+        )
+        mvals = {c: rd[c] for c in mcols if not pd.isna(rd[c])}
+        sample.cells.setdefault(key, []).append((rd[PRIO_COL], rd["cf"], mvals))
+        sample.cell_counts[key] = rd["n"]
+    return samples
 
 
 # ---------------------------------------------------------------------------

@@ -1,117 +1,33 @@
-"""Lattice of multidimensional aggregates + spanning tree (Section 4).
+"""Lattice of multidimensional aggregates (Section 4).
 
 A lattice over dimensions ``D`` has one node per subset of ``D``
-(2^N nodes). Each non-root node is computed from a chosen parent along
-a spanning tree. ArrayCube picks the Minimum *Memory* Spanning Tree
-(MMST); our Spark substrate has no operator-level memory budget, so we
-pick the tree that computes each child from its *smallest* parent
-(estimated distinct-cell count) — the run-time-relevant analog — while
-ArrayCube's memory-bound formula (Section 4.3 memory analysis) is
-implemented below for completeness and tested against the paper's
-expression.
+(2^N nodes), keyed by frozensets of dimension positions. The paper's
+ArrayCube evaluates it along a Minimum Memory Spanning Tree; the Spark
+SQL kernel (``mvdcube.cube_query``) instead projects every root row
+into every node in one pass, so no spanning tree is built (DESIGN.md).
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from itertools import combinations
 
 
 @dataclass(frozen=True)
-class LatticeNode:
-    """One lattice node: a subset of the dimension positions."""
-
-    dims: frozenset[int]
-    parent: frozenset[int] | None  # None for the root
-
-
-@dataclass
 class Lattice:
-    """The full 2^N lattice with a cost-based spanning tree.
-
-    ``dim_names`` orders the dimensions (position i <-> name); nodes
-    are keyed by frozensets of positions. ``cardinalities[i]`` is the
-    number of distinct values of dimension i (nulls excluded), used as
-    the per-node cell-count estimate prod(card[i]+1) (the +1 accounts
-    for the null the translation adds to every domain).
-    """
+    """The full 2^N lattice; ``dim_names`` orders the dimensions
+    (position i <-> name)."""
 
     dim_names: tuple[str, ...]
-    cardinalities: tuple[int, ...]
-    nodes: dict[frozenset[int], LatticeNode] = field(init=False)
-
-    def __post_init__(self) -> None:
-        n = len(self.dim_names)
-        assert n == len(self.cardinalities)
-        root = frozenset(range(n))
-        self.nodes = {root: LatticeNode(root, None)}
-        for size in range(n - 1, -1, -1):
-            for combo in combinations(range(n), size):
-                child = frozenset(combo)
-                # Candidate parents: child + one dimension; pick the one
-                # with the fewest estimated cells (ties: smallest added
-                # position, for determinism).
-                candidates = [
-                    child | {d} for d in range(n) if d not in child
-                ]
-                parent = min(
-                    candidates,
-                    key=lambda p: (self.estimated_cells(p), tuple(sorted(p))),
-                )
-                self.nodes[child] = LatticeNode(child, parent)
-
-    # -- helpers ------------------------------------------------------------
-    @property
-    def root(self) -> frozenset[int]:
-        return frozenset(range(len(self.dim_names)))
-
-    def estimated_cells(self, dims: frozenset[int]) -> int:
-        out = 1
-        for d in dims:
-            out *= self.cardinalities[d] + 1
-        return out
-
-    def children_of(self, dims: frozenset[int]) -> list[frozenset[int]]:
-        return sorted(
-            (n.dims for n in self.nodes.values() if n.parent == dims),
-            key=lambda s: tuple(sorted(s)),
-        )
 
     def topological_order(self) -> list[frozenset[int]]:
-        """Root first, then decreasing subset size (parents precede
-        children because a parent has exactly one more dimension)."""
-        return sorted(self.nodes, key=lambda s: (-len(s), tuple(sorted(s))))
+        """Root first, then decreasing subset size: every node comes
+        after its parents (the nodes with one more dimension)."""
+        n = len(self.dim_names)
+        return [
+            frozenset(combo)
+            for size in range(n, -1, -1)
+            for combo in combinations(range(n), size)
+        ]
 
     def names(self, dims: frozenset[int]) -> tuple[str, ...]:
         return tuple(self.dim_names[i] for i in sorted(dims))
-
-    def edge_label(self, child: frozenset[int]) -> int | None:
-        """The dimension position projected away on the tree edge into
-        ``child`` (None for the root) — Lemma 1's edge label."""
-        node = self.nodes[child]
-        if node.parent is None:
-            return None
-        (removed,) = tuple(node.parent - child)
-        return removed
-
-
-def arraycube_memory_bound(n_dims: int, d: int, c: int) -> int:
-    """ArrayCube's MMST memory upper bound from the paper's Section 4.3:
-    ``M_T = c^N + (d+1+c)^(N-1)`` cells for one aggregated measure,
-    with N dimensions of d distinct values and c values per partition."""
-    return c**n_dims + (d + 1 + c) ** (n_dims - 1)
-
-
-def roaring_bitmap_bound(n_integers: int, universe: int) -> int:
-    """Roaring Bitmap worst-case size in bytes ([32], quoted in §4.3):
-    ``2*Z + 9*(u/65535 + 1) + 8`` for Z integers in [0, u)."""
-    return 2 * n_integers + 9 * (universe // 65535 + 1) + 8
-
-
-def mvdcube_memory_bound(
-    n_dims: int, d: int, c: int, n_facts: int, n_measure_funcs: int
-) -> int:
-    """Worst-case MVDCube memory (bytes) from §4.3's analysis (a)+(b):
-    every MMST cell holds a bitmap of up to |CFS| facts, plus one float
-    per (measure, function) pair per fact (floats counted as 8 bytes)."""
-    cells = arraycube_memory_bound(n_dims, d, c)
-    return cells * roaring_bitmap_bound(n_facts, n_facts) + 8 * n_facts * n_measure_funcs

@@ -1,90 +1,82 @@
 """MVDCube: correct one-pass lattice evaluation for RDF MDAs (§4.3).
 
-Spark substrate of the paper's array/bitmap algorithm (see DESIGN.md
-for the mapping):
+Spark SQL substrate of the paper's array/bitmap algorithm (see
+DESIGN.md for the mapping). All lattices of a CFS are evaluated by one
+parameterized ``spark.sql`` statement, collected by one action:
 
-* ``translate``       — Data Translation: the root fact-cell frame
-  ``(cf, d0..dN-1)``; multi-valued dimensions explode a fact into
-  several cells, missing dimensions become null cells, facts with no
-  dimension at all are dropped (as in the paper).
-* bitmap propagation  — each child node's fact-cell frame is the
-  *distinct* projection of its spanning-tree parent's frame: a fact in
-  several parent cells is consolidated once per child cell (the
-  bitmap OR of the paper), which is what makes results correct under
-  multi-valued dimensions.
-* measure computation — each node joins the shared per-CF
-  pre-aggregated measures and computes *all* its (measure, function)
-  aggregates in a single ``groupBy``; ``avg = sum(sum)/sum(cnt)`` and
+* ``translate``       — Data Translation: the root fact-cell relation
+  ``(cf, d0..dN-1)`` of a lattice; multi-valued dimensions explode a
+  fact into several cells, missing dimensions become null cells, facts
+  with no dimension at all are dropped (as in the paper).
+* one pass            — ``cube_query`` projects each root row into
+  every lattice node with one ``inline(array(named_struct(...)))`` per
+  lattice: masked dimensions become null, the ``node`` column tells
+  them from data nulls.
+* bitmap propagation  — a ``DISTINCT`` over (node, cell, cf): a fact in
+  several parent cells is consolidated once per child cell (the bitmap
+  OR of the paper), which makes results correct under multi-valued
+  dimensions. By Theorem 1 only nodes that project away a multi-valued
+  dimension can receive duplicates, so a lattice without such a node
+  skips the ``DISTINCT`` (single-valued data is never deduplicated).
+  A lattice with one dedupes all its nodes in the same pass: the rows
+  stay partitioned by fact, so that is a local aggregate, where a
+  second pass for the duplicate-free nodes would translate the root
+  twice.
+* measure computation — one left join with the per-CF pre-aggregated
+  measures and one ``GROUP BY (node, cell)`` computing *all*
+  (measure, function) pairs; ``avg = sum(sum)/sum(cnt)`` and
   ``count(*) = count of (distinct-per-cell) facts`` implement the
   paper's Section 2 semantics exactly.
-* one pass            — all node aggregates of a lattice are unioned
-  into one plan and collected with a single action over the cached
-  root (the paper's single scan).
 
-Cross-lattice reuse: the evaluator memoizes results by ``MDAKey``, so
-an MDA appearing in several lattices of a CFS is computed once.
+``split_mdas`` cuts the collected rows into MDA results with numpy.
+Cross-lattice reuse: the evaluator memoizes results by ``MDAKey``, so an
+MDA appearing in several lattices of a CFS is computed once. PGCube is
+the same kernel without the dedupe (``pgcube.py``).
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import Column, DataFrame
-from pyspark.sql import functions as F
+from pyspark.sql import DataFrame
 
-from repro.core.attributes import Attribute
 from repro.core.config import COUNT_STAR
 from repro.core.enumeration import LatticeSpec
 from repro.core.lattice import Lattice
 from repro.core.mda import MDAKey
 from repro.core.preagg import PreAggregatedMeasures
+from repro.core.query import Query, with_ctes
 
-NODE_COL = "__node"
+NODE_COL = "node"
 STAR_COL = "v_star"
 
 
-def translate(cfs_df: DataFrame, dim_attrs: list[Attribute]) -> DataFrame:
-    """Data Translation: the root fact-cell frame (cf, d0..dN-1).
+def translate(
+    cfs_df: DataFrame, union: DataFrame, dims: tuple[str, ...], prefix: str
+) -> Query:
+    """Data Translation: the root fact-cell relation (cf, d0..dN-1).
 
-    Left-joins the CFS with each dimension table (position i becomes
-    column ``d{i}``), keeps facts with at least one dimension value,
-    and dedupes — one row per (fact, cell).
+    Left-joins the CFS with the attribute union ``(a, s, o)`` filtered
+    to each dimension (position i becomes column ``d{i}``, its name the
+    parameter ``:{prefix}{i}``), keeps facts with at least one dimension
+    value, and dedupes — one row per (fact, cell). The union and the CFS
+    frames share a hash partitioning by subject, so the joins do not
+    shuffle.
     """
-    root = cfs_df.select("cf")
-    for i, attr in enumerate(dim_attrs):
-        t = attr.df.select(F.col("s").alias("cf"), F.col("o").alias(f"d{i}"))
-        root = root.join(t, "cf", "left")
-    non_null = [F.col(f"d{i}").isNotNull() for i in range(len(dim_attrs))]
-    root = root.filter(reduce(lambda a, b: a | b, non_null)).distinct()
-    return root
-
-
-def release_root(root: DataFrame) -> None:
-    """Free the blocks of a ``localCheckpoint``-ed root frame.
-
-    ``DataFrame.unpersist`` does not: it drops cached plans only, and a
-    local checkpoint's RDD otherwise stays persisted until the
-    ContextCleaner collects it after a JVM garbage collection. The
-    frame is unusable afterwards.
-    """
-    root._jdf.queryExecution().analyzed().rdd().unpersist(False)
-
-
-def _value_col(preagg: PreAggregatedMeasures, measure: str, func: str) -> Column:
-    cols = preagg.columns_for(measure)
-    if func == "count":
-        return F.sum(cols["cnt"])
-    if func == "sum":
-        return F.sum(cols["sum"])
-    if func == "min":
-        return F.min(cols["min"])
-    if func == "max":
-        return F.max(cols["max"])
-    if func == "avg":
-        return F.sum(cols["sum"]) / F.sum(cols["cnt"])
-    raise ValueError(func)
+    n = len(dims)
+    joins = "".join(
+        f" LEFT JOIN (SELECT s, o FROM {{union}} WHERE a = :{prefix}{i}) t{i}"
+        f" ON t{i}.s = c.cf"
+        for i in range(n)
+    )
+    cells = ", ".join(f"t{i}.o AS d{i}" for i in range(n))
+    any_dim = " OR ".join(f"t{i}.o IS NOT NULL" for i in range(n))
+    return Query(
+        f"SELECT DISTINCT c.cf, {cells} FROM {{cfs}} c{joins} WHERE {any_dim}",
+        {f"{prefix}{i}": d for i, d in enumerate(dims)},
+        {"cfs": cfs_df, "union": union},
+    )
 
 
 def value_col_name(preagg: PreAggregatedMeasures, measure: str, func: str) -> str:
@@ -94,24 +86,102 @@ def value_col_name(preagg: PreAggregatedMeasures, measure: str, func: str) -> st
     return f"v_{preagg.index_of(measure)}_{func}"
 
 
-def extract_mda(
-    node_pdf: pd.DataFrame,
-    dims: tuple[str, ...],
-    value_column: str,
+def _value_sql(preagg: PreAggregatedMeasures, measure: str, func: str) -> str:
+    c = preagg.columns_for(measure)
+    if func == "avg":
+        return f"sum({c['sum']}) / sum({c['cnt']})"
+    agg, col = {"count": ("sum", "cnt"), "sum": ("sum", "sum"),
+                "min": ("min", "min"), "max": ("max", "max")}[func]
+    return f"{agg}({c[col]})"
+
+
+@dataclass
+class CubeNode:
+    """One lattice node planned into the kernel."""
+
+    id: int
+    dims: dict[int, str]  # kept dimension position -> name
+    pairs: list[tuple[str, str]]  # (measure, func) pairs to extract
+
+
+def cube_query(
+    lattices: list[tuple[Query, int, list[CubeNode], bool]],
+    preagg: PreAggregatedMeasures,
     *,
-    func: str,
-) -> pd.DataFrame:
-    """Reported result of one MDA from a node's raw frame: groups with
-    a null dimension value or a null aggregate (no fact in the group
-    carries the measure) are excluded — Section 2 semantics."""
-    cols = list(dims) + [value_column]
-    out = node_pdf[cols].copy()
-    if dims:
-        out = out.dropna(subset=list(dims))
-    out = out.dropna(subset=[value_column])
-    out = out.rename(columns={value_column: "value"})
-    out["value"] = out["value"].astype(np.float64)
-    return out.reset_index(drop=True)
+    distinct_count: bool = False,
+) -> Query:
+    """The cube kernel shared by MVDCube and PGCube: one statement over
+    the lattices' roots ``(root, n_dims, nodes, dedupe)``.
+
+    Output: ``(node, d0..dM-1, v_...)`` with the dimension columns
+    padded to the widest lattice. ``distinct_count`` counts
+    ``count(*)`` as distinct facts (PGCube^d).
+    """
+    max_n = max(n for _, n, _, _ in lattices)
+    dcols = ", ".join(f"d{i}" for i in range(max_n))
+    cells = []
+    for li, (_, _, nodes, dedupe) in enumerate(lattices):
+        structs = ", ".join(
+            f"named_struct('{NODE_COL}', {node.id}, "
+            + ", ".join(
+                f"'d{i}', " + (f"d{i}" if i in node.dims else "CAST(NULL AS STRING)")
+                for i in range(max_n)
+            )
+            + ")"
+            for node in nodes
+        )
+        part = f"SELECT cf, inline(array({structs})) FROM r{li}"
+        cells.append(f"SELECT DISTINCT * FROM ({part})" if dedupe else part)
+    pairs = sorted({p for _, _, nodes, _ in lattices for node in nodes for p in node.pairs})
+    star = "count(DISTINCT cf)" if distinct_count else "count(cf)"
+    aggs = ", ".join(
+        f"CAST({star if m == COUNT_STAR else _value_sql(preagg, m, f)} AS DOUBLE)"
+        f" AS {value_col_name(preagg, m, f)}"
+        for m, f in pairs
+    )
+    ctes = [(f"r{li}", root) for li, (root, _, _, _) in enumerate(lattices)]
+    join = ""
+    if any(m != COUNT_STAR for m, _ in pairs):
+        ctes.append(("pre", preagg.query))
+        join = " LEFT JOIN pre USING (cf)"
+    return with_ctes(
+        ctes,
+        f"SELECT {NODE_COL}, {dcols}, {aggs} FROM ({' UNION ALL '.join(cells)}) c"
+        f"{join} GROUP BY {NODE_COL}, {dcols}",
+    )
+
+
+def split_mdas(
+    pdf: pd.DataFrame,
+    nodes: list[CubeNode],
+    cfs_name: str,
+    preagg: PreAggregatedMeasures,
+) -> dict[MDAKey, pd.DataFrame]:
+    """Reported MDA results from the kernel's collected rows: groups
+    with a null dimension value or a null aggregate (no fact in the
+    group carries the measure) are excluded — Section 2 semantics.
+
+    One stable sort by node, then numpy masks per node and pair; each
+    result lists its dimensions by name, sorted, then ``value``.
+    """
+    order = np.argsort(pdf[NODE_COL].to_numpy(), kind="stable")
+    cols = {c: pdf[c].to_numpy()[order] for c in pdf.columns}
+    ids = cols[NODE_COL]
+    out: dict[MDAKey, pd.DataFrame] = {}
+    for node in nodes:
+        lo, hi = np.searchsorted(ids, [node.id, node.id + 1])
+        dims = sorted((name, cols[f"d{i}"][lo:hi]) for i, name in node.dims.items())
+        keep = np.ones(hi - lo, dtype=bool)
+        for _, values in dims:
+            keep &= pd.notna(values)
+        names = tuple(name for name, _ in dims)
+        for m, f in node.pairs:
+            value = cols[value_col_name(preagg, m, f)][lo:hi].astype(np.float64)
+            rows = keep & ~np.isnan(value)
+            data = {name: values[rows] for name, values in dims}
+            data["value"] = value[rows]
+            out[MDAKey(cfs_name, names, m, f)] = pd.DataFrame(data)
+    return out
 
 
 @dataclass
@@ -119,175 +189,68 @@ class MVDCubeEvaluator:
     """Evaluates lattices of one CFS, memoizing results by MDAKey."""
 
     cfs_name: str
-    attributes: dict[str, Attribute]  # name -> Attribute (dims)
+    union: DataFrame  # attribute union (a, s, o)
     preagg: PreAggregatedMeasures
     cfs_df: DataFrame
     results: dict[MDAKey, pd.DataFrame] = field(default_factory=dict)
     nodes_evaluated: int = 0
 
-    def _needed(self, spec: LatticeSpec, node_names: frozenset[str], skip: set[MDAKey]) -> list[tuple[str, str]]:
-        """(measure, func) pairs still needed at a node: not memoized,
-        not pruned by early-stop."""
-        pairs = [(COUNT_STAR, "count")] + [
-            (m, f) for m in spec.measures for f in spec.funcs[m]
-        ]
-        out = []
-        for m, f in pairs:
-            key = MDAKey(self.cfs_name, tuple(node_names), m, f)
-            if key not in self.results and key not in skip:
-                out.append((m, f))
-        return out
-
-    def evaluate(
-        self,
-        spec: LatticeSpec,
-        *,
-        root_df: DataFrame | None = None,
-        skip: set[MDAKey] | None = None,
-        dim_cardinalities: dict[str, int] | None = None,
-    ) -> None:
-        """Evaluate one lattice (see ``evaluate_many``)."""
-        self.evaluate_many(
-            [spec],
-            root_dfs=[root_df] if root_df is not None else None,
-            skip=skip,
-            dim_cardinalities=dim_cardinalities,
-        )
-
     def evaluate_many(
         self,
         specs: list[LatticeSpec],
         *,
-        root_dfs: list[DataFrame] | None = None,
+        roots: list[Query] | None = None,
         skip: set[MDAKey] | None = None,
-        dim_cardinalities: dict[str, int] | None = None,
         multi_valued_dims: set[str] | None = None,
     ) -> None:
-        """Evaluate several lattices of the CFS in one Spark action.
-
-        Physical plan (see DESIGN.md): for every lattice, each cached
-        root row is projected into every lattice node (an Expand over
-        the 2^N projections — masked dimensions become a literal null,
-        the ``node_id`` column disambiguates masked from data nulls);
-        the projections of *all* lattices are unioned (dim columns
-        padded to the widest lattice), then one
-        ``dropDuplicates([node, cell, cf])`` implements the bitmap OR
-        (a fact living in several parent cells is consolidated once per
-        child cell), one join loads the shared pre-aggregated measures
-        for the whole batch (the paper's Measure Loading, amortized
-        across lattices), and one shared ``groupBy(node, cell)``
-        computes all (measure, function) pairs at once. Everything the
-        CFS needs is a single shuffle pipeline collected by a single
-        action — unlike PGCube, which runs one cube query per lattice
-        and skips the per-fact dedup (hence its multi-valued errors).
+        """Evaluate several lattices of the CFS in one Spark statement
+        (``cube_query``, see DESIGN.md) and one action.
 
         MDAs appearing in several lattices (or memoized from earlier
         calls) are planned once; ``skip`` holds early-stop-pruned keys.
-        ``root_dfs`` may carry pre-translated roots (e.g. from
-        early-stop sampling), aligned with ``specs``.
+        ``roots`` may carry the lattices' translations, aligned with
+        ``specs`` (default: ``translate`` each).
 
-        ``multi_valued_dims`` enables the Theorem-1 refinement: a node
-        can only receive duplicated facts when a *multi-valued*
-        dimension is projected away, so branches that drop no MD
-        dimension bypass the dedupe shuffle (None = treat every
-        dimension as potentially multi-valued, always safe).
+        ``multi_valued_dims`` enables the Theorem-1 refinement: only
+        lattices with a node that projects away a *multi-valued*
+        dimension are deduplicated (None = treat every dimension as
+        potentially multi-valued, always safe).
         """
         skip = skip or set()
-        if not specs:
-            return
-        max_n = max(len(s.dims) for s in specs)
-        dim_cols = [f"d{i}" for i in range(max_n)]
-        own_roots = root_dfs is None
-        if root_dfs is None:
-            # coalesce + localCheckpoint: short lineage and few map
-            # partitions for the 2^N expand branches (see DESIGN.md).
-            root_dfs = [
-                translate(self.cfs_df, [self.attributes[d] for d in s.dims])
-                .coalesce(2)
-                .localCheckpoint()
-                for s in specs
+        if roots is None:
+            roots = [
+                translate(self.cfs_df, self.union, spec.dims, f"l{si}_")
+                for si, spec in enumerate(specs)
             ]
-
-        branches: list[DataFrame] = []  # project away >=1 MD dim: dedupe
-        clean_branches: list[DataFrame] = []  # provably duplicate-free
-        # (spec index, node positions) -> (measure, func) pairs to extract.
-        node_pairs: dict[tuple[int, frozenset[int]], list[tuple[str, str]]] = {}
+        lattices: list[tuple[Query, int, list[CubeNode], bool]] = []
+        nodes: list[CubeNode] = []
         planned: set[MDAKey] = set()
-        lattices: list[Lattice] = []
-        for si, (spec, root_df) in enumerate(zip(specs, root_dfs)):
-            n = len(spec.dims)
-            cards = tuple((dim_cardinalities or {}).get(d, 10) for d in spec.dims)
-            lattice = Lattice(spec.dims, cards)
-            lattices.append(lattice)
-            for node in lattice.topological_order():
-                names = frozenset(lattice.names(node))
+        for spec, root in zip(specs, roots):
+            spec_nodes = []
+            dedupe = False
+            for pos in Lattice(spec.dims).topological_order():
+                names = {i: spec.dims[i] for i in pos}
+                pairs = [(COUNT_STAR, "count")] + [
+                    (m, f) for m in spec.measures for f in spec.funcs[m]
+                ]
+                keys = {(m, f): MDAKey(self.cfs_name, tuple(names.values()), m, f)
+                        for m, f in pairs}
                 pairs = [
-                    (m, f)
-                    for m, f in self._needed(spec, names, skip)
-                    if MDAKey(self.cfs_name, tuple(names), m, f) not in planned
+                    p for p in pairs
+                    if keys[p] not in self.results and keys[p] not in skip
+                    and keys[p] not in planned
                 ]
                 if not pairs:
                     continue
-                node_pairs[(si, node)] = pairs
-                planned |= {
-                    MDAKey(self.cfs_name, tuple(names), m, f) for m, f in pairs
-                }
-                node_id = f"{si}:" + ",".join(str(i) for i in sorted(node))
-                proj = [
-                    (
-                        F.col(f"d{i}")
-                        if i < n and i in node
-                        else F.lit(None).cast("string")
-                    ).alias(f"d{i}")
-                    for i in range(max_n)
-                ]
-                branch = root_df.select(*proj, "cf", F.lit(node_id).alias(NODE_COL))
-                dropped = set(spec.dims) - names
-                needs_dedupe = multi_valued_dims is None or bool(
-                    dropped & multi_valued_dims
-                )
-                (branches if needs_dedupe else clean_branches).append(branch)
+                planned |= {keys[p] for p in pairs}
+                dropped = set(spec.dims) - set(names.values())
+                dedupe |= multi_valued_dims is None or bool(dropped & multi_valued_dims)
+                spec_nodes.append(CubeNode(len(nodes), names, pairs))
+                nodes.append(spec_nodes[-1])
                 self.nodes_evaluated += 1
-        if not branches and not clean_branches:
-            if own_roots:
-                for r in root_dfs:
-                    release_root(r)
+            if spec_nodes:
+                lattices.append((root, len(spec.dims), spec_nodes, dedupe))
+        if not nodes:
             return
-
-        parts: list[DataFrame] = []
-        if branches:
-            exploded = reduce(lambda a, b: a.unionByName(b), branches)
-            # Bitmap OR: one row per (node, cell, fact).
-            parts.append(exploded.dropDuplicates([NODE_COL, *dim_cols, "cf"]))
-        if clean_branches:
-            # Theorem 1: no multi-valued dim is projected away, hence
-            # projections of the (distinct) root cannot duplicate a
-            # fact within a cell — no dedupe shuffle needed.
-            parts.append(reduce(lambda a, b: a.unionByName(b), clean_branches))
-        all_cells = reduce(lambda a, b: a.unionByName(b), parts)
-        joined = all_cells.join(self.preagg.df, "cf", "left")
-        needed_pairs = sorted({p for ps in node_pairs.values() for p in ps})
-        exprs = []
-        for m, f in needed_pairs:
-            name = value_col_name(self.preagg, m, f)
-            if m == COUNT_STAR:
-                exprs.append(F.count("cf").cast("double").alias(name))
-            else:
-                exprs.append(_value_col(self.preagg, m, f).cast("double").alias(name))
-        agg = joined.groupBy(NODE_COL, *dim_cols).agg(*exprs)
-        pdf = agg.toPandas()  # the single action: one pass for all lattices
-
-        for (si, node), pairs in node_pairs.items():
-            lattice = lattices[si]
-            node_id = f"{si}:" + ",".join(str(i) for i in sorted(node))
-            part = pdf[pdf[NODE_COL] == node_id]
-            col_map = {f"d{i}": lattice.dim_names[i] for i in sorted(node)}
-            part = part.rename(columns=col_map)
-            names = tuple(sorted(lattice.names(node)))
-            for m, f in pairs:
-                vcol = value_col_name(self.preagg, m, f)
-                key = MDAKey(self.cfs_name, names, m, f)
-                self.results[key] = extract_mda(part, names, vcol, func=f)
-        if own_roots:
-            for r in root_dfs:
-                release_root(r)
+        pdf = cube_query(lattices, self.preagg).run().toPandas()
+        self.results.update(split_mdas(pdf, nodes, self.cfs_name, self.preagg))

@@ -4,8 +4,8 @@ The paper's best-effort baseline is PostgreSQL 12's GROUP BY CUBE — a
 one-pass grouping-sets evaluation over the relational encoding of the
 facts (each fact joined with its dimension and measure values, hence
 *duplicated* once per combination of multi-valued dimension values).
-Spark's ``cube()`` compiles to the Catalyst ``Expand`` operator, the
-same algorithmic class, so we use it as the substrate.
+Here it is MVDCube's cube kernel (``mvdcube.cube_query``) without the
+per-fact dedupe: the same one-pass projection into every grouping set.
 
 Two variants as in Section 6:
 * ``PGCube*``  — counts with ``count(*)`` over the exploded rows;
@@ -14,7 +14,7 @@ Two variants as in Section 6:
 
 Errors arise exactly as Lemma 1 predicts: when a grouping set projects
 away a multi-valued dimension, the duplicated fact rows are aggregated
-multiple times. Each lattice is evaluated by its own cube query (the
+multiple times. Each lattice is evaluated by its own statement (the
 paper: "PGCube evaluates each lattice in a separate query"), so shared
 nodes may get different (differently wrong) results per lattice —
 Experiment 3 records the per-group maximum error.
@@ -25,94 +25,43 @@ from dataclasses import dataclass
 
 import pandas as pd
 from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
 
-from repro.core.attributes import Attribute
 from repro.core.config import COUNT_STAR
 from repro.core.enumeration import LatticeSpec
+from repro.core.lattice import Lattice
 from repro.core.mda import MDAKey
-from repro.core.mvdcube import (
-    STAR_COL,
-    extract_mda,
-    translate,
-    value_col_name,
-)
+from repro.core.mvdcube import CubeNode, cube_query, split_mdas, translate
 from repro.core.preagg import PreAggregatedMeasures
-
-GID_COL = "__gid"
-
-
-def _cube_exprs(
-    spec: LatticeSpec, preagg: PreAggregatedMeasures, *, distinct_count: bool
-) -> list:
-    exprs = []
-    star = (
-        F.countDistinct("cf") if distinct_count else F.count(F.lit(1))
-    )
-    exprs.append(star.cast("double").alias(STAR_COL))
-    for m in spec.measures:
-        cols = preagg.columns_for(m)
-        for f in spec.funcs[m]:
-            name = value_col_name(preagg, m, f)
-            if f == "count":
-                e = F.sum(cols["cnt"])
-            elif f == "sum":
-                e = F.sum(cols["sum"])
-            elif f == "min":
-                e = F.min(cols["min"])
-            elif f == "max":
-                e = F.max(cols["max"])
-            elif f == "avg":
-                e = F.sum(cols["sum"]) / F.sum(cols["cnt"])
-            else:  # pragma: no cover
-                raise ValueError(f)
-            exprs.append(e.cast("double").alias(name))
-    return exprs
+from repro.core.query import Query
 
 
 @dataclass
 class PGCubeEvaluator:
-    """Evaluates one lattice per cube query; no cross-lattice reuse."""
+    """Evaluates one lattice per statement; no cross-lattice reuse."""
 
     cfs_name: str
-    attributes: dict[str, Attribute]
+    union: DataFrame  # attribute union (a, s, o)
     preagg: PreAggregatedMeasures
     cfs_df: DataFrame
     distinct_count: bool = False  # False => PGCube*, True => PGCube^d
 
     def evaluate(
-        self, spec: LatticeSpec, *, root_df: DataFrame | None = None
+        self, spec: LatticeSpec, *, root: Query | None = None
     ) -> dict[MDAKey, pd.DataFrame]:
-        """One cube query over the exploded fact relation; results are
-        split per grouping set (lattice node) via grouping_id()."""
-        dim_attrs = [self.attributes[d] for d in spec.dims]
-        own_root = root_df is None
-        if root_df is None:
-            root_df = translate(self.cfs_df, dim_attrs).cache()
-        n = len(spec.dims)
-        cols = [f"d{i}" for i in range(n)]
-        joined = root_df.join(self.preagg.df, "cf", "left")
-        cube = joined.cube(*cols).agg(
-            *_cube_exprs(spec, self.preagg, distinct_count=self.distinct_count),
-            F.grouping_id().alias(GID_COL),
+        """One cube statement over the exploded fact relation, split per
+        grouping set (lattice node)."""
+        if root is None:
+            root = translate(self.cfs_df, self.union, spec.dims, "l0_")
+        pairs = [(COUNT_STAR, "count")] + [
+            (m, f) for m in spec.measures for f in spec.funcs[m]
+        ]
+        nodes = [
+            CubeNode(i, {j: spec.dims[j] for j in pos}, pairs)
+            for i, pos in enumerate(Lattice(spec.dims).topological_order())
+        ]
+        query = cube_query(
+            [(root, len(spec.dims), nodes, False)],
+            self.preagg,
+            distinct_count=self.distinct_count,
         )
-        pdf = cube.toPandas()
-        out: dict[MDAKey, pd.DataFrame] = {}
-        for mask in range(2**n):
-            # grouping_id bit 2^(n-1-i) is set when d_i is aggregated
-            # away; node `mask` keeps the positions with a zero bit.
-            kept = [i for i in range(n) if not (mask >> (n - 1 - i)) & 1]
-            part = pdf[pdf[GID_COL] == mask]
-            dim_cols = {f"d{i}": spec.dims[i] for i in kept}
-            part = part.rename(columns=dim_cols)
-            names = tuple(sorted(spec.dims[i] for i in kept))
-            pairs = [(COUNT_STAR, "count")] + [
-                (m, f) for m in spec.measures for f in spec.funcs[m]
-            ]
-            for m, f in pairs:
-                vcol = value_col_name(self.preagg, m, f)
-                key = MDAKey(self.cfs_name, names, m, f)
-                out[key] = extract_mda(part, names, vcol, func=f)
-        if own_root:
-            root_df.unpersist()
-        return out
+        return split_mdas(query.run().toPandas(), nodes, self.cfs_name, self.preagg)

@@ -1,33 +1,32 @@
-"""Pre-aggregated measures (offline phase; Sections 3 and 4.3).
+"""Pre-aggregated measures (Sections 3 and 4.3, Measure Loading).
 
-For each (CF, measure) pair we store the aggregated values the paper
-pre-computes offline: ``cnt``, ``sum``, ``min``, ``max`` of the
-measure's values on that fact (``avg`` is derived as sum/cnt at query
-time). These per-CF pre-aggregates make group-level aggregation correct
-for facts with multiple measure values, and are *shared across all
-lattices of a CFS* (Measure Loading): one wide cached DataFrame
+For each (CF, measure) pair the paper pre-computes ``cnt``, ``sum``,
+``min`` and ``max`` of the measure's values on that fact (``avg`` is
+derived as sum/cnt at query time). These per-CF pre-aggregates make
+group-level aggregation correct for facts with multiple measure values,
+and are *shared across all lattices of a CFS*: one wide relation
 
     (cf, m0_cnt, m0_sum, m0_min, m0_max, m1_cnt, ...)
 
-indexed by measure *position* so arbitrary attribute names (e.g.
-``company/area``) never leak into column names.
+indexed by measure *position*, so attribute names (e.g.
+``company/area``) never reach column names or SQL text. It is a SQL
+fragment over the attribute union, planned into the statement that
+evaluates the CFS: nothing is cached per request.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
 
 from pyspark.sql import DataFrame
-from pyspark.sql import functions as F
 
-from repro.core.attributes import Attribute
+from repro.core.query import Query
 
 
 @dataclass(frozen=True)
 class PreAggregatedMeasures:
-    """The wide per-CF measure frame plus the name <-> position map."""
+    """The wide per-CF measure fragment plus the name <-> position map."""
 
-    df: DataFrame  # (cf, m{i}_{cnt|sum|min|max} ...)
+    query: Query  # (cf, m{i}_{cnt|sum|min|max} ...)
     measures: tuple[str, ...]  # measure attribute names, by position
 
     def index_of(self, measure: str) -> int:
@@ -37,34 +36,31 @@ class PreAggregatedMeasures:
         i = self.index_of(measure)
         return {f: f"m{i}_{f}" for f in ("cnt", "sum", "min", "max")}
 
-    def unpersist(self) -> None:
-        self.df.unpersist()
 
-
-def preaggregate(measure_attrs: list[Attribute]) -> PreAggregatedMeasures:
-    """Build the wide pre-aggregated measure frame for a measure set.
+def preaggregate(union: DataFrame, measures: list[str]) -> PreAggregatedMeasures:
+    """One ``GROUP BY s`` over the attribute union ``(a, s, o)`` with
+    conditional aggregates per measure.
 
     Values are cast to double; non-castable values are dropped (the
     enumeration rules only admit numeric measures, so this only guards
-    against stray dirty values).
+    against stray dirty values). A fact without a value of a measure
+    gets nulls in that measure's columns.
     """
-    assert measure_attrs, "need at least one measure"
-    frames = []
-    for i, attr in enumerate(measure_attrs):
-        v = F.col("o").try_cast("double")  # ANSI-safe: dirty values -> NULL
-        per_cf = (
-            attr.df.select(F.col("s").alias("cf"), v.alias("v"))
-            .filter(F.col("v").isNotNull())
-            .groupBy("cf")
-            .agg(
-                F.count("v").alias(f"m{i}_cnt"),
-                F.sum("v").alias(f"m{i}_sum"),
-                F.min("v").alias(f"m{i}_min"),
-                F.max("v").alias(f"m{i}_max"),
-            )
-        )
-        frames.append(per_cf)
-    wide = reduce(lambda a, b: a.join(b, "cf", "outer"), frames)
-    return PreAggregatedMeasures(
-        df=wide.cache(), measures=tuple(a.name for a in measure_attrs)
+    assert measures, "need at least one measure"
+    aggs = []
+    for i in range(len(measures)):
+        hit = f"a = :m{i}"
+        aggs += [
+            f"sum(IF({hit}, 1, NULL)) AS m{i}_cnt",
+            f"sum(IF({hit}, v, NULL)) AS m{i}_sum",
+            f"min(IF({hit}, v, NULL)) AS m{i}_min",
+            f"max(IF({hit}, v, NULL)) AS m{i}_max",
+        ]
+    markers = ", ".join(f":m{i}" for i in range(len(measures)))
+    text = (
+        f"SELECT s AS cf, {', '.join(aggs)} FROM ("
+        f"SELECT a, s, try_cast(o AS DOUBLE) AS v FROM {{union}} "
+        f"WHERE a IN ({markers})) WHERE v IS NOT NULL GROUP BY s"
     )
+    args = {f"m{i}": m for i, m in enumerate(measures)}
+    return PreAggregatedMeasures(Query(text, args, {"union": union}), tuple(measures))

@@ -38,9 +38,10 @@ from repro.core.earlystop import (
 )
 from repro.core.enumeration import LatticeSpec, enumerate_lattices
 from repro.core.mda import MDAKey
-from repro.core.mvdcube import MVDCubeEvaluator, release_root, translate
+from repro.core.mvdcube import MVDCubeEvaluator, translate
 from repro.core.pgcube import PGCubeEvaluator
-from repro.core.preagg import preaggregate
+from repro.core.preagg import PreAggregatedMeasures, preaggregate
+from repro.core.query import Query
 from repro.rdf.summary import StructuralSummary
 from repro.rdf.triples import TripleStore
 
@@ -62,7 +63,7 @@ class OfflineArtifacts:
     attributes: list[Attribute]  # direct + derived
     derivations: DerivationCounts
     cfss: list[CandidateFactSet]  # type- and summary-based, sorted by size
-    attr_union: DataFrame | None = None  # cached tagged union (a, s, o)
+    attr_union: DataFrame | None = None  # checkpointed tagged union (a, s, o)
     times: dict[str, float] = field(default_factory=dict)
 
     @property
@@ -94,11 +95,16 @@ def offline_phase(store: TripleStore, config: SpadeConfig) -> OfflineArtifacts:
         # per-subject groupBys then shuffle neither side, and it runs one
         # task per shuffle partition, not one per partition of every
         # attribute table. An explicit count, which adaptive execution
-        # does not coalesce.
+        # does not coalesce. A local checkpoint (it keeps the
+        # partitioning) rather than a cache: its plan is one scan, so the
+        # SQL statements of a request, which read the union several
+        # times, do not analyze and optimize the union of every attribute
+        # table at each read (that halved evaluation time on the
+        # benchmark's graphs).
         conf = store.triples.sparkSession.conf
         partitions = int(conf.get("spark.sql.shuffle.partitions"))
         union = (
-            attribute_union(attrs).repartition(partitions, "s").cache()
+            attribute_union(attrs).repartition(partitions, "s").localCheckpoint()
             if attrs
             else None
         )
@@ -114,6 +120,7 @@ class CFSAnalysis:
     cfs: CandidateFactSet
     attributes: list[AnalyzedAttribute]
     lattices: list[LatticeSpec]
+    union: DataFrame | None  # the attribute union the evaluation reads
 
 
 @dataclass
@@ -149,7 +156,7 @@ def analyze_and_enumerate(
             alist = analyzed(present, stats)
         with _timed(times, "aggregate_enumeration"):
             lattices = enumerate_lattices(cfs.name, cfs.size, alist, patterns, config)
-        analyses.append(CFSAnalysis(cfs, alist, lattices))
+        analyses.append(CFSAnalysis(cfs, alist, lattices, offline.attr_union))
     return analyses
 
 
@@ -164,7 +171,11 @@ def evaluate_analyses(
     k: int = 10,
 ) -> SpadeResult:
     """Steps 4-5 over pre-analyzed CFSs (lets callers time evaluation
-    alone, as the paper does when comparing evaluation methods)."""
+    alone, as the paper does when comparing evaluation methods).
+
+    Translation and pre-aggregation are SQL fragments planned into the
+    evaluation statement of their CFS (MVDCube) or lattice (PGCube);
+    early-stop samples the same fragments in one more statement."""
     assert evaluator in ("mvdcube", "pgcube*", "pgcubed")
     assert not (early_stop and evaluator != "mvdcube"), "ES plugs into MVDCube"
     times: dict[str, float] = {}
@@ -173,50 +184,30 @@ def evaluate_analyses(
 
     with _timed(times, "aggregate_evaluation"):
         all_candidates = []
-        per_cfs: list[tuple[CFSAnalysis, object, dict[str, Attribute], object, list[tuple[LatticeSpec, DataFrame]]]] = []
+        per_cfs: list[tuple[CFSAnalysis, PreAggregatedMeasures, list[Query]]] = []
         for analysis in analyses:
             if not analysis.lattices:
                 continue
-            attr_map = {a.name: a.attribute for a in analysis.attributes}
             stats_map = {a.name: a.stats for a in analysis.attributes}
-            measure_names = sorted(
-                {m for sp in analysis.lattices for m in sp.measures}
+            measures = sorted({m for sp in analysis.lattices for m in sp.measures})
+            # count(*)-only lattices never read the pre-aggregates.
+            preagg = preaggregate(
+                analysis.union, measures or [analysis.attributes[0].name]
             )
-            if not measure_names:
-                measure_names = []
-            measures = [attr_map[m] for m in measure_names]
-            preagg = preaggregate(measures) if measures else preaggregate(
-                [analysis.attributes[0].attribute]
-            )
-            roots: list[tuple[LatticeSpec, DataFrame]] = []
-            for spec in analysis.lattices:
-                dim_attrs = [attr_map[d] for d in spec.dims]
-                # localCheckpoint truncates the join lineage so the
-                # 2^N expand branches reference a short plan (Catalyst
-                # re-analyzes each branch; a deep join tree per branch
-                # dominates run time at small data sizes); coalesce
-                # keeps the branch union's map-task count bounded
-                # (branches multiply the root's partition count).
-                root = (
-                    translate(analysis.cfs.df, dim_attrs)
-                    .coalesce(2)
-                    .localCheckpoint()
-                )
-                roots.append((spec, root))
+            roots = [
+                translate(analysis.cfs.df, analysis.union, spec.dims, f"l{i}_")
+                for i, spec in enumerate(analysis.lattices)
+            ]
             if early_stop:
-                # All reservoirs of the CFS fill in one accumulator pass
-                # (sampling runs during/over Data Translation, §5.3).
+                # All reservoirs of the CFS fill in one pass (sampling
+                # runs over Data Translation, §5.3).
                 samples = draw_root_samples(
-                    spark,
-                    [
-                        (root.join(preagg.df, "cf", "left"), len(spec.dims))
-                        for spec, root in roots
-                    ],
-                    measures=preagg.measures,
+                    [(root, len(spec.dims)) for spec, root in zip(analysis.lattices, roots)],
+                    preagg,
                     capacity=config.es_sample_size,
                     seed=config.seed,
                 )
-                for (spec, _), sample in zip(roots, samples):
+                for spec, sample in zip(analysis.lattices, samples):
                     bounds = {
                         m: (stats_map[m].vmin, stats_map[m].vmax)
                         for m in spec.measures
@@ -230,7 +221,7 @@ def evaluate_analyses(
                             value_bounds=bounds,
                         )
                     )
-            per_cfs.append((analysis, preagg, attr_map, stats_map, roots))
+            per_cfs.append((analysis, preagg, roots))
 
         skip: set[MDAKey] = set()
         if early_stop and all_candidates:
@@ -239,45 +230,30 @@ def evaluate_analyses(
             )
             skip = es_result.pruned
 
-        for analysis, preagg, attr_map, stats_map, roots in per_cfs:
-            cards = {
-                name: stats_map[name].n_distinct for name in attr_map
-            }
+        for analysis, preagg, roots in per_cfs:
+            cfs = analysis.cfs
             if evaluator == "mvdcube":
-                ev = MVDCubeEvaluator(
-                    analysis.cfs.name, attr_map, preagg, analysis.cfs.df
-                )
-                # All lattices of the CFS in one action (shared scan,
+                ev = MVDCubeEvaluator(cfs.name, analysis.union, preagg, cfs.df)
+                # All lattices of the CFS in one statement (shared scan,
                 # shared measures — the paper's one-pass + reuse); the
                 # online stats feed Theorem 1's multi-valued-dims set.
-                md = {
-                    name
-                    for name, st in stats_map.items()
-                    if st.multi_count > 0
-                }
+                md = {a.name for a in analysis.attributes if a.stats.multi_count > 0}
                 ev.evaluate_many(
-                    [spec for spec, _ in roots],
-                    root_dfs=[root for _, root in roots],
-                    skip=skip,
-                    dim_cardinalities=cards,
-                    multi_valued_dims=md,
+                    analysis.lattices, roots=roots, skip=skip, multi_valued_dims=md
                 )
                 arm.add_all(ev.results)
             else:
                 ev = PGCubeEvaluator(
-                    analysis.cfs.name,
-                    attr_map,
+                    cfs.name,
+                    analysis.union,
                     preagg,
-                    analysis.cfs.df,
+                    cfs.df,
                     distinct_count=(evaluator == "pgcubed"),
                 )
-                for spec, root in roots:
-                    for key, res in ev.evaluate(spec, root_df=root).items():
+                for spec, root in zip(analysis.lattices, roots):
+                    for key, res in ev.evaluate(spec, root=root).items():
                         if key not in arm:  # first lattice wins (no reuse)
                             arm.add(key, res)
-            for _, root in roots:
-                release_root(root)
-            preagg.unpersist()
 
     with _timed(times, "topk"):
         topk = arm.top_k(h, k)

@@ -21,7 +21,7 @@ from pyspark.sql import SparkSession
 from repro.core import spade
 from repro.core.config import COUNT_STAR, SpadeConfig
 from repro.core.mda import MDAKey
-from repro.core.mvdcube import MVDCubeEvaluator, release_root, translate
+from repro.core.mvdcube import MVDCubeEvaluator, translate
 from repro.core.pgcube import PGCubeEvaluator
 from repro.core.preagg import preaggregate
 from repro.datagen import real_graphs
@@ -83,53 +83,35 @@ def _evaluate_all(spark, analyses, config):
     for analysis in analyses:
         if not analysis.lattices:
             continue
-        attr_map = {a.name: a.attribute for a in analysis.attributes}
-        stats_map = {a.name: a.stats for a in analysis.attributes}
         measure_names = sorted({m for sp in analysis.lattices for m in sp.measures})
         if not measure_names:
             continue
-        preagg = preaggregate([attr_map[m] for m in measure_names])
-        cards = {n: stats_map[n].n_distinct for n in attr_map}
-        roots = []
-        for sp in analysis.lattices:
-            # Same root treatment as the pipeline (short lineage, few
-            # partitions) so every evaluator starts from the same
-            # materialized translation.
-            root = (
-                translate(analysis.cfs.df, [attr_map[d] for d in sp.dims])
-                .coalesce(2)
-                .localCheckpoint()
-            )
-            roots.append((sp, root))
-
-        md = {n for n, st in stats_map.items() if st.multi_count > 0}
+        cfs, union = analysis.cfs, analysis.union
+        preagg = preaggregate(union, measure_names)
+        # Every evaluator plans the same translation fragments.
+        roots = [
+            translate(cfs.df, union, sp.dims, f"l{i}_")
+            for i, sp in enumerate(analysis.lattices)
+        ]
+        md = {a.name for a in analysis.attributes if a.stats.multi_count > 0}
         t0 = time.perf_counter()
-        ev = MVDCubeEvaluator(analysis.cfs.name, attr_map, preagg, analysis.cfs.df)
-        ev.evaluate_many(
-            [sp for sp, _ in roots],
-            root_dfs=[root for _, root in roots],
-            dim_cardinalities=cards,
-            multi_valued_dims=md,
-        )
+        ev = MVDCubeEvaluator(cfs.name, union, preagg, cfs.df)
+        ev.evaluate_many(analysis.lattices, roots=roots, multi_valued_dims=md)
         t_mvd += time.perf_counter() - t0
         mvd.update(ev.results)
 
         for distinct, acc in ((False, pg_star), (True, pg_dist)):
             t0 = time.perf_counter()
             pg = PGCubeEvaluator(
-                analysis.cfs.name, attr_map, preagg, analysis.cfs.df,
-                distinct_count=distinct,
+                cfs.name, union, preagg, cfs.df, distinct_count=distinct
             )
-            for sp, root in roots:
-                acc.append(pg.evaluate(sp, root_df=root))
+            for sp, root in zip(analysis.lattices, roots):
+                acc.append(pg.evaluate(sp, root=root))
             dt = time.perf_counter() - t0
             if distinct:
                 t_dist += dt
             else:
                 t_star += dt
-        for _, root in roots:
-            release_root(root)
-        preagg.unpersist()
     return mvd, pg_star, pg_dist, t_mvd, t_star, t_dist
 
 

@@ -2,18 +2,17 @@
 import numpy as np
 import pytest
 
-from repro.core.attributes import Attribute
+from repro.core.attributes import Attribute, attribute_union
 from repro.core.config import COUNT_STAR, SpadeConfig
 from repro.core.derived import path_attribute
 from repro.core.earlystop import (
     ESCandidate,
     GroupSample,
-    ReservoirAccumulatorParam,
     _numeric_gradient,
     _variance_gradient,
     _z_quantile,
     build_candidates,
-    draw_root_sample,
+    draw_root_samples,
     early_stop_prune,
     estimate_interestingness,
     gradient,
@@ -48,38 +47,10 @@ def test_moment_gradients_finite_when_variance_underflows(h_name):
 
 
 # ---------------------------------------------------------------------------
-# Reservoir accumulator
-# ---------------------------------------------------------------------------
-def test_reservoir_merge_dedupes_by_cf():
-    p = ReservoirAccumulatorParam(capacity=5)
-    v = p.zero(None)
-    v = p.addInPlace(v, {("x",): [2, {"a": (1, {}), "b": (2, {})}]})
-    v = p.addInPlace(v, {("x",): [1, {"a": (1, {})}]})
-    assert len(v[("x",)][1]) == 2  # facts dedupe by cf
-    assert v[("x",)][0] == 3  # counts accumulate
-
-
-def test_reservoir_trims_to_capacity_lowest_priority():
-    p = ReservoirAccumulatorParam(capacity=2)
-    v = p.zero(None)
-    v = p.addInPlace(v, {("x",): [5, {c: (i, {}) for i, c in enumerate("abcde")}]})
-    assert set(v[("x",)][1]) == {"a", "b"}
-    assert v[("x",)][0] == 5  # exact count survives the trim
-
-
-def test_reservoir_merges_cells_independently():
-    p = ReservoirAccumulatorParam(capacity=1)
-    v = p.zero(None)
-    v = p.addInPlace(v, {("x",): [1, {"a": (5, {})}], ("y",): [1, {"b": (1, {})}]})
-    v = p.addInPlace(v, {("x",): [1, {"c": (2, {})}]})
-    assert set(v[("x",)][1]) == {"c"} and set(v[("y",)][1]) == {"b"}
-
-
-# ---------------------------------------------------------------------------
 # Sampling + propagation on the Figure 1 graph
 # ---------------------------------------------------------------------------
 @pytest.fixture(scope="module")
-def fig1_sample(spark, fig1):
+def fig1_inputs(spark, fig1):
     cfs = fig1.nodes_of_type("CEO")
     attrs = {
         "nationality": Attribute(
@@ -88,20 +59,54 @@ def fig1_sample(spark, fig1):
         "company/area": path_attribute(fig1, "company", "area"),
         "netWorth": Attribute("netWorth", fig1.property_table("netWorth"), "direct"),
     }
-    preagg = preaggregate([attrs["netWorth"]])
+    union = attribute_union(list(attrs.values()))
+    return cfs, union, preaggregate(union, ["netWorth"])
+
+
+def _sample(inputs, dim_sets, capacity):
+    cfs, union, preagg = inputs
+    roots = [
+        (translate(cfs, union, dims, f"l{i}_"), len(dims))
+        for i, dims in enumerate(dim_sets)
+    ]
+    return draw_root_samples(roots, preagg, capacity=capacity, seed=0)
+
+
+@pytest.fixture(scope="module")
+def fig1_sample(fig1_inputs):
     spec = LatticeSpec(
         "CEO",
         dims=("nationality", "company/area"),
         measures=("netWorth",),
         funcs={"netWorth": ("sum", "avg")},
     )
-    root = translate(cfs, [attrs["nationality"], attrs["company/area"]])
-    joined = root.join(preagg.df, "cf", "left")
-    sample = draw_root_sample(
-        spark, joined, n_dims=2, measures=preagg.measures, capacity=10, seed=0
-    )
-    yield sample, spec
-    preagg.unpersist()
+    (sample,) = _sample(fig1_inputs, [spec.dims], capacity=10)
+    return sample, spec
+
+
+def test_reservoir_merge_dedupes_by_cf(fig1_sample):
+    sample, _ = fig1_sample
+    for rows in sample.cells.values():
+        facts = [cf for _, cf, _ in rows]
+        assert len(facts) == len(set(facts))  # facts dedupe by cf
+
+
+def test_reservoir_trims_to_capacity_lowest_priority(fig1_inputs):
+    (full,) = _sample(fig1_inputs, [("company/area",)], capacity=10)
+    (trimmed,) = _sample(fig1_inputs, [("company/area",)], capacity=1)
+    manufacturer = ("Manufacturer",)
+    assert len(full.cells[manufacturer]) == 2
+    assert trimmed.cells[manufacturer] == full.cells[manufacturer][:1]
+    assert trimmed.cell_counts[manufacturer] == 2  # exact count survives the trim
+
+
+def test_reservoir_merges_cells_independently(fig1_inputs):
+    dim_sets = [("company/area",), ("nationality",)]
+    together = _sample(fig1_inputs, dim_sets, capacity=1)
+    for dims, sample in zip(dim_sets, together):
+        (alone,) = _sample(fig1_inputs, [dims], capacity=1)
+        assert sample.cells == alone.cells
+        assert sample.cell_counts == alone.cell_counts
 
 
 def test_sample_cell_counts_exact(fig1_sample):

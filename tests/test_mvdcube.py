@@ -11,7 +11,7 @@ import numpy as np
 import pandas as pd
 import pytest
 
-from repro.core.attributes import Attribute
+from repro.core.attributes import Attribute, attribute_union
 from repro.core.config import COUNT_STAR
 from repro.core.derived import path_attribute
 from repro.core.enumeration import LatticeSpec
@@ -43,17 +43,17 @@ def fig1_eval(spark, fig1):
         "netWorth": Attribute("netWorth", fig1.property_table("netWorth"), "direct"),
         "age": Attribute("age", fig1.property_table("age"), "direct"),
     }
-    preagg = preaggregate([attrs["netWorth"], attrs["age"]])
+    union = attribute_union(list(attrs.values()))
+    preagg = preaggregate(union, ["netWorth", "age"])
     spec = LatticeSpec(
         cfs_name="CEO",
         dims=("nationality", "gender", "company/area"),
         measures=("netWorth", "age"),
         funcs={"netWorth": ("sum",), "age": ("avg",)},
     )
-    ev = MVDCubeEvaluator("CEO", attrs, preagg, cfs)
-    ev.evaluate(spec)
-    yield ev, attrs, cfs, preagg
-    preagg.unpersist()
+    ev = MVDCubeEvaluator("CEO", union, preagg, cfs)
+    ev.evaluate_many([spec])
+    yield ev, union, cfs, preagg
 
 
 def _res(ev, dims, measure, func):
@@ -117,46 +117,46 @@ def test_count_by_nationality(fig1_eval):
 
 def test_example1_sum_networth_by_country(spark, fig1, fig1_eval):
     # Example 1's result is {(Angola, $2.8B)}: n2 lacks countryOfOrigin.
-    _, attrs, cfs, preagg = fig1_eval
+    _, union, cfs, preagg = fig1_eval
     spec = LatticeSpec(
         "CEO", dims=("countryOfOrigin",), measures=("netWorth",),
         funcs={"netWorth": ("sum",)},
     )
-    ev = MVDCubeEvaluator("CEO", attrs, preagg, cfs)
-    ev.evaluate(spec)
+    ev = MVDCubeEvaluator("CEO", union, preagg, cfs)
+    ev.evaluate_many([spec])
     res = ev.results[MDAKey("CEO", ("countryOfOrigin",), "netWorth", "sum")]
     assert len(res) == 1
     assert group_value(res, countryOfOrigin="Angola") == pytest.approx(2.8)
 
 
 def test_translate_explodes_multivalues(spark, fig1, fig1_eval):
-    _, attrs, cfs, _ = fig1_eval
-    root = translate(cfs, [attrs["nationality"], attrs["company/area"]])
-    rows = root.collect()
+    _, union, cfs, _ = fig1_eval
+    root = translate(cfs, union, ("nationality", "company/area"), "t")
+    rows = root.run().collect()
     # n1: 1 nat x 3 areas = 3 cells; n2: 4 nat x 2 areas = 8 cells.
     assert len(rows) == 11
 
 
 def test_translate_drops_dimensionless_facts(spark, fig1, fig1_eval):
-    _, attrs, cfs, _ = fig1_eval
-    root = translate(cfs, [attrs["gender"]])
-    assert {r["cf"] for r in root.collect()} == {"n1"}
+    _, union, cfs, _ = fig1_eval
+    root = translate(cfs, union, ("gender",), "t")
+    assert {r["cf"] for r in root.run().collect()} == {"n1"}
 
 
 def test_memoization_skips_recompute(fig1_eval):
-    _, attrs, cfs, preagg = fig1_eval
+    _, union, cfs, preagg = fig1_eval
     spec = LatticeSpec(
         "CEO", dims=("gender",), measures=("netWorth",), funcs={"netWorth": ("sum",)}
     )
-    ev = MVDCubeEvaluator("CEO", attrs, preagg, cfs)
-    ev.evaluate(spec)
+    ev = MVDCubeEvaluator("CEO", union, preagg, cfs)
+    ev.evaluate_many([spec])
     n1 = ev.nodes_evaluated
-    ev.evaluate(spec)  # second run: everything memoized
+    ev.evaluate_many([spec])  # second run: everything memoized
     assert ev.nodes_evaluated == n1
 
 
 def test_skip_pruned_aggregates(fig1_eval):
-    _, attrs, cfs, preagg = fig1_eval
+    _, union, cfs, preagg = fig1_eval
     spec = LatticeSpec(
         "CEO", dims=("gender",), measures=("netWorth",), funcs={"netWorth": ("sum",)}
     )
@@ -164,8 +164,8 @@ def test_skip_pruned_aggregates(fig1_eval):
         MDAKey("CEO", ("gender",), "netWorth", "sum"),
         MDAKey("CEO", ("gender",), COUNT_STAR, "count"),
     }
-    ev = MVDCubeEvaluator("CEO", attrs, preagg, cfs)
-    ev.evaluate(spec, skip=pruned)
+    ev = MVDCubeEvaluator("CEO", union, preagg, cfs)
+    ev.evaluate_many([spec], skip=pruned)
     assert MDAKey("CEO", ("gender",), "netWorth", "sum") not in ev.results
     # The apex is still evaluated (not pruned).
     assert MDAKey("CEO", (), COUNT_STAR, "count") in ev.results
@@ -207,22 +207,22 @@ def mv(spark):
         name: Attribute(name, store.property_table(name), "direct")
         for name in ("color", "size", "score", "weight")
     }
-    preagg = preaggregate([attrs["score"], attrs["weight"]])
+    union = attribute_union(list(attrs.values()))
+    preagg = preaggregate(union, ["score", "weight"])
     spec = LatticeSpec(
         "F",
         dims=("color", "size"),
         measures=("score", "weight"),
         funcs={"score": FUNCS, "weight": FUNCS},
     )
-    ev = MVDCubeEvaluator("F", attrs, preagg, cfs)
-    ev.evaluate(spec)
+    ev = MVDCubeEvaluator("F", union, preagg, cfs)
+    ev.evaluate_many([spec])
     pandas_tables = {
         "cfs": cfs.toPandas(),
         "dims": {n: attrs[n].df.toPandas() for n in ("color", "size")},
         "meas": {n: attrs[n].df.toPandas() for n in ("score", "weight")},
     }
     yield ev, pandas_tables
-    preagg.unpersist()
     store.unpersist()
 
 

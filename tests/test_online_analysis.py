@@ -7,6 +7,8 @@ its MFS transactions without Spark. The outputs are checked against the
 former two-job statistics and against pandas over the attribute tables
 (the triples, for direct properties).
 """
+from dataclasses import replace
+
 import pandas as pd
 import pytest
 from pyspark.sql import functions as F
@@ -116,6 +118,22 @@ def test_steps_1_to_3_spark_jobs(spark, ceos_offline, test_config):
     assert [a.cfs.name for a in analyses] == [c.name for c in selected]
     assert any(a.lattices for a in analyses)
     assert jobs <= 2 * len(analyses)
+
+
+def test_request_spark_jobs(spark, ceos_offline, test_config):
+    config = replace(test_config, max_cfss=1)
+    spade.run_online(spark, ceos_offline, config, k=3)  # warm
+    result, exact_jobs = _jobs(
+        spark, "test-exact", lambda: spade.run_online(spark, ceos_offline, config, k=3)
+    )
+    assert [bool(a.lattices) for a in result.analyses] == [True]
+    # Two statements of online analysis, one evaluating the CFS.
+    assert exact_jobs == 3
+    _, es_jobs = _jobs(
+        spark, "test-es",
+        lambda: spade.run_online(spark, ceos_offline, config, early_stop=True, k=3),
+    )
+    assert exact_jobs < es_jobs <= exact_jobs + 2
 
 
 def _persisted(sc) -> set[int]:

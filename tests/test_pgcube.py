@@ -4,7 +4,7 @@ Figure 4 / Variation 1-2 errors on multi-valued data, and correctness
 import pandas as pd
 import pytest
 
-from repro.core.attributes import Attribute
+from repro.core.attributes import Attribute, attribute_union
 from repro.core.config import COUNT_STAR
 from repro.core.derived import path_attribute
 from repro.core.enumeration import LatticeSpec
@@ -30,19 +30,19 @@ def fig1_pg(spark, fig1):
         "netWorth": Attribute("netWorth", fig1.property_table("netWorth"), "direct"),
         "age": Attribute("age", fig1.property_table("age"), "direct"),
     }
-    preagg = preaggregate([attrs["netWorth"], attrs["age"]])
+    union = attribute_union(list(attrs.values()))
+    preagg = preaggregate(union, ["netWorth", "age"])
     spec = LatticeSpec(
         cfs_name="CEO",
         dims=("nationality", "gender", "company/area"),
         measures=("netWorth", "age"),
         funcs={"netWorth": ("sum", "min"), "age": ("avg",)},
     )
-    star = PGCubeEvaluator("CEO", attrs, preagg, cfs, distinct_count=False)
-    dist = PGCubeEvaluator("CEO", attrs, preagg, cfs, distinct_count=True)
+    star = PGCubeEvaluator("CEO", union, preagg, cfs, distinct_count=False)
+    dist = PGCubeEvaluator("CEO", union, preagg, cfs, distinct_count=True)
     res_star = star.evaluate(spec)
     res_dist = dist.evaluate(spec)
     yield res_star, res_dist
-    preagg.unpersist()
 
 
 def test_root_node_counts_correct(fig1_pg):
@@ -149,11 +149,12 @@ def sv(spark):
         n: Attribute(n, store.property_table(n), "direct")
         for n in ("color", "size", "score")
     }
-    preagg = preaggregate([attrs["score"]])
+    union = attribute_union(list(attrs.values()))
+    preagg = preaggregate(union, ["score"])
     spec = LatticeSpec(
         "F", dims=("color", "size"), measures=("score",), funcs={"score": FUNCS}
     )
-    ev = PGCubeEvaluator("F", attrs, preagg, cfs, distinct_count=False)
+    ev = PGCubeEvaluator("F", union, preagg, cfs, distinct_count=False)
     results = ev.evaluate(spec)
     tables = {
         "cfs": cfs.toPandas(),
@@ -161,7 +162,6 @@ def sv(spark):
         "meas": attrs["score"].df.toPandas(),
     }
     yield results, tables
-    preagg.unpersist()
     store.unpersist()
 
 

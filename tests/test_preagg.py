@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from repro.core.attributes import Attribute
+from repro.core.attributes import Attribute, attribute_union
 from repro.core.preagg import preaggregate
 from repro.rdf.triples import TripleStore, triples_from_rows
 
@@ -22,10 +22,9 @@ def preagg(spark):
         Attribute("m", store.property_table("m"), "direct"),
         Attribute("w", store.property_table("w"), "direct"),
     ]
-    pa = preaggregate(attrs)
-    rows_by_cf = {r["cf"]: r.asDict() for r in pa.df.collect()}
+    pa = preaggregate(attribute_union(attrs), ["m", "w"])
+    rows_by_cf = {r["cf"]: r.asDict() for r in pa.query.run().collect()}
     yield pa, rows_by_cf
-    pa.unpersist()
     store.unpersist()
 
 
