@@ -2,26 +2,26 @@
 
 An *attribute* is a direct property or a derived property of a CFS;
 either can serve as a dimension (group-by key) or a measure (aggregated
-value). Both are represented as an (s, o) DataFrame plus statistics.
+value). Both are represented as an (s, o) value table plus statistics.
 
-Offline analysis computes graph-global per-property statistics in a
-fixed number of Spark jobs (grouped by property over the whole triple
-frame). Online analysis recomputes the statistics restricted to one
-CFS, for direct *and* derived attributes, batching all attributes of
-the CFS into two Spark jobs via a tagged union (cached once per graph).
+A loaded graph holds all its attribute tables as one tagged union
+(a, s, o), built from the direct part and one fragment per derivation
+kind; each table is a lazy slice of it. Offline analysis computes
+graph-global per-property statistics in one statement over the direct
+part. Online analysis recomputes the statistics restricted to one CFS,
+for direct *and* derived attributes, in two Spark jobs over the union.
 Its second job also yields the CFS's weighted attribute-set patterns,
 from which aggregate enumeration mines its maximal frequent sets
 without another pass over the data.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from functools import reduce
+from dataclasses import dataclass
 
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
-from repro.core.query import Query
+from repro.core.query import Query, with_ctes
 from repro.rdf.triples import RDF_TYPE, TripleStore
 
 
@@ -48,17 +48,26 @@ class AttributeStats:
 class Attribute:
     """A (derived) property usable as dimension or measure.
 
-    ``df`` is the (s, o) value table; ``derived_from`` lists the base
-    property names this attribute is derived from (empty for direct
-    properties) — used by the enumeration rules that forbid an
-    attribute and its derivation in the same lattice (Section 3,
-    Step 3b/3c).
+    ``df`` is its (s, o) value table: in a loaded graph the lazy slice
+    ``a = :name`` of the attribute ``union``, otherwise its own
+    ``table``. ``derived_from`` lists the base property names this
+    attribute is derived from (empty for direct properties) — used by
+    the enumeration rules that forbid an attribute and its derivation in
+    the same lattice (Section 3, Step 3b/3c).
     """
 
     name: str
-    df: DataFrame
+    table: DataFrame | None  # its own (s, o) table, if not in a union
     kind: str  # direct | count | kw | lang | path
     derived_from: frozenset[str] = frozenset()
+    union: DataFrame | None = None  # the attribute union (a, s, o) holding it
+
+    @property
+    def df(self) -> DataFrame | None:
+        if self.union is None:
+            return self.table
+        rows = "SELECT s, o FROM {union} WHERE a = :name"
+        return Query(rows, {"name": self.name}, {"union": self.union}).run()
 
     def conflicts_with(self, other: "Attribute") -> bool:
         """True if one attribute is derived from the other."""
@@ -102,11 +111,6 @@ _STATS = (
 )
 
 
-def _stats_aggs() -> list:
-    """The shared aggregates as Columns."""
-    return [F.expr(e) for e in _STATS]
-
-
 def _finish_stats(rows, multi: dict[str, int]) -> dict[str, AttributeStats]:
     out: dict[str, AttributeStats] = {}
     for r in rows:
@@ -125,40 +129,63 @@ def _finish_stats(rows, multi: dict[str, int]) -> dict[str, AttributeStats]:
     return out
 
 
-def _with_is_node(df: DataFrame, subjects: DataFrame) -> DataFrame:
-    """Tag each (a, s, o) row with whether o is a node of the graph."""
-    nodes = subjects.select(F.col("cf").alias("_node")).distinct()
-    return df.join(nodes, df["o"] == nodes["_node"], "left").withColumn(
-        "is_node", F.when(F.col("_node").isNotNull(), 1).otherwise(0)
-    ).drop("_node")
+def _partitions(df: DataFrame) -> int:
+    """The session's shuffle partition count: every frame of facts
+    cached at load is hash-partitioned by subject into that many."""
+    return int(df.sparkSession.conf.get("spark.sql.shuffle.partitions"))
 
 
-def offline_property_stats(store: TripleStore) -> dict[str, AttributeStats]:
-    """Graph-global statistics of every direct property (offline phase)."""
-    t = store.triples.filter(F.col("p") != RDF_TYPE).select(
-        F.col("p").alias("a"), "s", "o"
+def direct_part(store: TripleStore) -> DataFrame:
+    """The rows (a, s, o) of every direct attribute: the distinct
+    non-type triples, tagged by their property and hash-partitioned by
+    subject like the CFS frames (so the per-subject work over it does
+    not shuffle)."""
+    return (
+        store.triples.where(F.col("p") != RDF_TYPE)
+        .select(F.col("p").alias("a"), "s", "o")
+        .repartition(_partitions(store.triples), "s")
+        .distinct()
     )
-    tagged = _with_is_node(t, store.subjects())
-    rows = tagged.groupBy("a").agg(*_stats_aggs()).collect()
-    multi_rows = (
-        t.groupBy("a", "s")
-        .agg(F.count("o").alias("nv"))
-        .filter(F.col("nv") > 1)
-        .groupBy("a")
-        .agg(F.countDistinct("s").alias("multi"))
-        .collect()
-    )
-    return _finish_stats(rows, {r["a"]: r["multi"] for r in multi_rows})
 
 
-def attribute_union(attributes: list[Attribute]) -> DataFrame:
-    """The tagged union (a, s, o) of many attribute tables — built once
-    per graph (the analog of the attribute tables stored in the DB) and
-    cached; every online analysis then costs one join with the CFS."""
-    frames = [
-        a.df.select(F.lit(a.name).alias("a"), "s", "o") for a in attributes
-    ]
-    return reduce(lambda x, y: x.unionByName(y), frames)
+#: Offline statistics of every direct property, over the direct part:
+#: the shared aggregates, each object tagged by whether it is a node of
+#: the graph, plus the subjects with several values of the property
+#: (``nv``: the values of their (a, s) pair).
+_OFFLINE_STATS = (
+    f"SELECT a, {', '.join(_STATS)}, count(DISTINCT IF(nv > 1, s, NULL)) AS multi"
+    " FROM (SELECT d.a, d.s, d.o, d.nv, IF(n.s IS NULL, 0, 1) AS is_node FROM ("
+    "SELECT a, s, o, count(o) OVER (PARTITION BY a, s) AS nv FROM {direct}) d"
+    " LEFT JOIN {nodes} n ON d.o = n.s) GROUP BY a"
+)
+
+
+def offline_property_stats(
+    direct: DataFrame, nodes: DataFrame
+) -> dict[str, AttributeStats]:
+    """Graph-global statistics of every direct property (offline phase):
+    one statement over the direct part (``direct_part``); ``nodes`` has
+    one row per node ``s`` of the graph (the structural summary's)."""
+    rows = Query(_OFFLINE_STATS, frames={"direct": direct, "nodes": nodes}).run().collect()
+    return _finish_stats(rows, {r["a"]: r["multi"] for r in rows})
+
+
+def attribute_union(direct: DataFrame, derivations: list[Query]) -> DataFrame:
+    """The tagged union (a, s, o) of every attribute table of a graph
+    (the analog of the attribute tables stored in the DB): one
+    ``UNION ALL`` of the direct part and the derivation fragments.
+
+    Hash-partitioned by subject like the CFS frames, so the online
+    analysis's CFS join and per-subject groupBys shuffle neither side;
+    an explicit partition count, which adaptive execution does not
+    coalesce. A local checkpoint (it keeps the partitioning), not a
+    cache: its plan is one scan, which the statements of a request,
+    reading the union several times, do not re-optimize at each read.
+    """
+    parts = [Query("SELECT a, s, o FROM {direct}", frames={"direct": direct})]
+    ctes = [(f"part{i}", q) for i, q in enumerate(parts + derivations)]
+    rows = with_ctes(ctes, " UNION ALL ".join(f"SELECT * FROM {n}" for n, _ in ctes))
+    return rows.run().repartition(_partitions(direct), "s").localCheckpoint()
 
 
 #: The union restricted to one CFS (its frame holds distinct facts);
@@ -179,7 +206,7 @@ _PATTERNS = (
 def analyze_attributes(
     cfs_df: DataFrame,
     attributes: list[Attribute],
-    attr_union: DataFrame | None = None,
+    attr_union: DataFrame,
 ) -> tuple[dict[str, AttributeStats], list[tuple[frozenset[str], int]]]:
     """Online Attribute Analysis: stats of many attributes over one CFS.
 
@@ -200,8 +227,6 @@ def analyze_attributes(
     """
     if not attributes:
         return {}, []
-    if attr_union is None:
-        attr_union = attribute_union(attributes)
     frames = {"union": attr_union, "cfs": cfs_df}
     stats_sql = f"SELECT a, {', '.join(_STATS)} FROM ({_IN_CFS}) GROUP BY a"
     rows = Query(stats_sql, frames=frames).run().collect()

@@ -9,19 +9,22 @@ property, which derivations to generate:
 * ``a/b``       — length-1 paths: value of ``b`` on the nodes referred
                   to by ``a`` (``a`` must be a *ref* property).
 
-Each derived property is an ordinary ``Attribute`` whose ``df`` is a
-lazy DataFrame over the cached triple frame; statistics are computed
-by the same Offline/Online Attribute Analysis as direct properties.
+Each derived property is an ordinary ``Attribute``. Its rows come from
+one SQL fragment per derivation *kind* over the direct part of the
+graph (``derivations``), so the load plans the same few statements
+whatever the attribute count; the base property names enter as array
+parameters. Statistics are computed by the same Online Attribute
+Analysis as for direct properties.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from pyspark.sql import functions as F
+from pyspark.sql import DataFrame
 
 from repro.core.attributes import Attribute, AttributeStats
 from repro.core.config import SpadeConfig
-from repro.rdf.triples import TripleStore
+from repro.core.query import Query
 
 #: Stopword lists keyed by language tag — the tagger assigns the
 #: language with the most stopword hits (ties broken in key order).
@@ -49,105 +52,111 @@ class DerivationCounts:
         return self.kw + self.lang + self.count + self.path
 
 
-def direct_attributes(store: TripleStore) -> list[Attribute]:
-    """One Attribute per direct property of the graph (P in Table 2)."""
+def count_attribute(prop: str) -> Attribute:
+    """count(a): per-subject number of values of ``a`` (as a string)."""
+    return Attribute(f"count({prop})", None, "count", frozenset([prop]))
+
+
+def kw_attribute(prop: str) -> Attribute:
+    """kw(a): keywords (long non-stopword tokens) of a text property."""
+    return Attribute(f"kw({prop})", None, "kw", frozenset([prop]))
+
+
+def lang_attribute(prop: str) -> Attribute:
+    """lang(a): per-value language via stopword hits, at most one tag
+    per value; a subject may still be multi-tagged across values."""
+    return Attribute(f"lang({prop})", None, "lang", frozenset([prop]))
+
+
+def path_attribute(ref_prop: str, target_prop: str) -> Attribute:
+    """a/b: follow ref property ``a`` then read property ``b``."""
+    return Attribute(
+        f"{ref_prop}/{target_prop}", None, "path", frozenset([ref_prop, target_prop])
+    )
+
+
+_TOKENS = "split(lower(o), '[^a-z]+')"
+
+#: One (a, s, o) fragment per derivation kind over the direct part
+#: ``{direct}``; ``a`` is the derived attribute's name. In ``lang``, the
+#: language with the most stopword hits wins, ties to the first in
+#: ``LANG_STOPWORDS`` order (the struct compares hits, then -position).
+#: A path is selected by its name, the key of its rows in the union.
+_FRAGMENTS = {
+    "count": (
+        "SELECT concat('count(', a, ')') AS a, s, CAST(count(o) AS STRING) AS o"
+        " FROM {direct} WHERE array_contains(:count_props, a) GROUP BY a, s"
+    ),
+    "kw": (
+        "SELECT DISTINCT concat('kw(', a, ')') AS a, s, w AS o FROM ("
+        f"SELECT a, s, explode({_TOKENS}) AS w FROM {{direct}}"
+        " WHERE array_contains(:kw_props, a))"
+        " WHERE length(w) >= :kw_min_len AND NOT array_contains(:stopwords, w)"
+    ),
+    "lang": (
+        "SELECT DISTINCT concat('lang(', a, ')') AS a, s, best.tag AS o FROM ("
+        "SELECT a, s, array_max(transform(:lang_tags, (tag, i) -> named_struct("
+        f"'hits', size(array_intersect({_TOKENS}, element_at(:lang_words, i + 1))),"
+        " 'rank', -i, 'tag', tag))) AS best"
+        " FROM {direct} WHERE array_contains(:lang_props, a)) WHERE best.hits > 0"
+    ),
+    "path": (
+        "SELECT DISTINCT concat(x.a, '/', y.a) AS a, x.s, y.o"
+        " FROM {direct} x JOIN {direct} y ON x.o = y.s"
+        " WHERE array_contains(:path_props, x.a) AND array_contains(:path_props, y.a)"
+        " AND array_contains(:paths, concat(x.a, '/', y.a))"
+    ),
+}
+
+
+def derivations(
+    direct: DataFrame, attributes: list[Attribute], kw_min_len: int
+) -> list[Query]:
+    """The rows (a, s, o) of the derived ``attributes``: one fragment per
+    derivation kind among them, each over the direct part (a frame of
+    ``attributes.direct_part``)."""
+
+    def props(kind: str) -> list[str]:
+        return sorted({p for a in attributes if a.kind == kind for p in a.derived_from})
+
+    args = {
+        "count": {"count_props": props("count")},
+        "kw": {
+            "kw_props": props("kw"),
+            "kw_min_len": kw_min_len,
+            "stopwords": list(_ALL_STOPWORDS),
+        },
+        "lang": {
+            "lang_props": props("lang"),
+            "lang_tags": list(LANG_STOPWORDS),
+            "lang_words": [list(ws) for ws in LANG_STOPWORDS.values()],
+        },
+        "path": {
+            "path_props": props("path"),
+            "paths": sorted(a.name for a in attributes if a.kind == "path"),
+        },
+    }
     return [
-        Attribute(name=p, df=store.property_table(p), kind="direct")
-        for p in store.properties()
+        Query(text, args[kind], {"direct": direct})
+        for kind, text in _FRAGMENTS.items()
+        if props(kind)
     ]
 
 
-def count_attribute(store: TripleStore, prop: str) -> Attribute:
-    """count(a): per-subject number of values of ``a`` (as a string)."""
-    df = (
-        store.property_table(prop)
-        .groupBy("s")
-        .agg(F.count("o").cast("string").alias("o"))
-    )
-    return Attribute(
-        name=f"count({prop})", df=df, kind="count", derived_from=frozenset([prop])
-    )
+_PATH_PAIRS = (
+    "SELECT x.a AS pa, y.a AS pb, count(DISTINCT x.s) AS support"
+    " FROM {direct} x JOIN {direct} y ON x.o = y.s"
+    " WHERE array_contains(:refs, x.a) GROUP BY x.a, y.a"
+)
 
 
-def _tokens(col):
-    return F.split(F.lower(col), r"[^a-z]+")
-
-
-def kw_attribute(store: TripleStore, prop: str, *, min_len: int = 4) -> Attribute:
-    """kw(a): keywords (long non-stopword tokens) of a text property."""
-    df = (
-        store.property_table(prop)
-        .select("s", F.explode(_tokens(F.col("o"))).alias("o"))
-        .filter(F.length("o") >= min_len)
-        .filter(~F.col("o").isin(list(_ALL_STOPWORDS)))
-        .distinct()
-    )
-    return Attribute(
-        name=f"kw({prop})", df=df, kind="kw", derived_from=frozenset([prop])
-    )
-
-
-def lang_attribute(store: TripleStore, prop: str) -> Attribute:
-    """lang(a): per-value language via stopword hits, at most one tag
-    per value; a subject may still be multi-tagged across values."""
-    toks = _tokens(F.col("o"))
-    hit_cols = {
-        lang: F.size(F.array_intersect(toks, F.array(*[F.lit(w) for w in words])))
-        for lang, words in LANG_STOPWORDS.items()
-    }
-    # argmax over languages with a when-chain (key order breaks ties).
-    langs = list(hit_cols)
-    expr = F.lit(None).cast("string")
-    for lang in reversed(langs):
-        cond = hit_cols[lang] > 0
-        for other in langs:
-            if langs.index(other) < langs.index(lang):
-                cond = cond & (hit_cols[lang] > hit_cols[other])
-            elif other != lang:
-                cond = cond & (hit_cols[lang] >= hit_cols[other])
-        expr = F.when(cond, F.lit(lang)).otherwise(expr)
-    df = (
-        store.property_table(prop)
-        .select("s", expr.alias("o"))
-        .filter(F.col("o").isNotNull())
-        .distinct()
-    )
-    return Attribute(
-        name=f"lang({prop})", df=df, kind="lang", derived_from=frozenset([prop])
-    )
-
-
-def path_attribute(store: TripleStore, ref_prop: str, target_prop: str) -> Attribute:
-    """a/b: follow ref property ``a`` then read property ``b``."""
-    ta = store.property_table(ref_prop).select("s", F.col("o").alias("mid"))
-    tb = store.property_table(target_prop).select(
-        F.col("s").alias("mid"), F.col("o").alias("o")
-    )
-    df = ta.join(tb, "mid").select("s", "o").distinct()
-    return Attribute(
-        name=f"{ref_prop}/{target_prop}",
-        df=df,
-        kind="path",
-        derived_from=frozenset([ref_prop, target_prop]),
-    )
-
-
-def enumerate_path_pairs(store: TripleStore, ref_props: list[str]) -> list[tuple[str, str, int]]:
+def enumerate_path_pairs(direct: DataFrame, ref_props: list[str]) -> list[tuple[str, str, int]]:
     """(a, b, support) for every length-1 path a/b with a in ref_props,
-    b a non-type property of a's target nodes. One Spark job."""
+    b a non-type property of a's target nodes. One Spark job over the
+    direct part."""
     if not ref_props:
         return []
-    t = store.triples.filter(F.col("p") != "rdf:type")
-    ta = t.filter(F.col("p").isin(ref_props)).select(
-        F.col("p").alias("pa"), "s", F.col("o").alias("mid")
-    )
-    tb = t.select(F.col("s").alias("mid"), F.col("p").alias("pb"))
-    pairs = (
-        ta.join(tb, "mid")
-        .groupBy("pa", "pb")
-        .agg(F.countDistinct("s").alias("support"))
-        .collect()
-    )
+    pairs = Query(_PATH_PAIRS, {"refs": ref_props}, {"direct": direct}).run().collect()
     return sorted(
         ((r["pa"], r["pb"], r["support"]) for r in pairs),
         key=lambda x: (-x[2], x[0], x[1]),
@@ -155,11 +164,12 @@ def enumerate_path_pairs(store: TripleStore, ref_props: list[str]) -> list[tuple
 
 
 def derive_attributes(
-    store: TripleStore,
+    direct: DataFrame,
     offline_stats: dict[str, AttributeStats],
     config: SpadeConfig,
 ) -> tuple[list[Attribute], DerivationCounts]:
-    """Generate all derived attributes per the offline decision rules."""
+    """All derived attributes per the offline decision rules (their rows:
+    ``derivations``); one Spark job, for the path pairs."""
     if not config.enable_derivations:
         return [], DerivationCounts()
     counts = {"kw": 0, "lang": 0, "count": 0, "path": 0}
@@ -167,23 +177,23 @@ def derive_attributes(
     ref_props: list[str] = []
     for prop, st in sorted(offline_stats.items()):
         if st.multi_count >= config.multi_count_threshold:
-            out.append(count_attribute(store, prop))
+            out.append(count_attribute(prop))
             counts["count"] += 1
         is_text = (not st.is_numeric) and st.text_frac >= config.text_frac_threshold
         if is_text:
-            out.append(kw_attribute(store, prop, min_len=config.kw_min_len))
-            out.append(lang_attribute(store, prop))
+            out.append(kw_attribute(prop))
+            out.append(lang_attribute(prop))
             counts["kw"] += 1
             counts["lang"] += 1
         if st.ref_frac >= config.ref_frac_threshold and not st.is_numeric:
             ref_props.append(prop)
-    for pa, pb, _support in enumerate_path_pairs(store, ref_props)[: config.max_paths]:
+    for pa, pb, _support in enumerate_path_pairs(direct, ref_props)[: config.max_paths]:
         # Only expand paths whose endpoint is not itself a ref/text blob:
         # length-1 paths to categorical/numeric values (paper's Table 2
         # counts length-1 paths as "the most numerous").
         end_stats = offline_stats.get(pb)
         if end_stats is None or end_stats.ref_frac >= config.ref_frac_threshold:
             continue
-        out.append(path_attribute(store, pa, pb))
+        out.append(path_attribute(pa, pb))
         counts["path"] += 1
     return out, DerivationCounts(**counts)

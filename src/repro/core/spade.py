@@ -2,7 +2,7 @@
 
 Offline phase: structural summary, the graph's type- and summary-based
 CFSs, offline attribute analysis, derived property enumeration, and the
-cached attribute tables. Online phase: CFS selection (filtering the
+checkpointed attribute union. Online phase: CFS selection (filtering the
 graph's CFSs; no Spark job) → online attribute analysis (two Spark jobs
 per CFS) → aggregate enumeration (no Spark job, from the analysis's
 attribute-set patterns) → aggregate evaluation (MVDCube or PGCube,
@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from pyspark.sql import DataFrame, SparkSession
 
@@ -25,11 +25,12 @@ from repro.core.attributes import (
     analyze_attributes,
     analyzed,
     attribute_union,
+    direct_part,
     offline_property_stats,
 )
 from repro.core.cfs import CandidateFactSet, analyzable, graph_cfss, select_cfss
 from repro.core.config import SpadeConfig
-from repro.core.derived import DerivationCounts, derive_attributes, direct_attributes
+from repro.core.derived import DerivationCounts, derivations, derive_attributes
 from repro.core.earlystop import (
     EarlyStopResult,
     build_candidates,
@@ -72,42 +73,30 @@ class OfflineArtifacts:
 
 
 def offline_phase(store: TripleStore, config: SpadeConfig) -> OfflineArtifacts:
-    """Load-time processing: summary, CFSs, stats, derivations (Figure 2
-    left)."""
+    """Load-time processing: summary, CFSs, stats, derivations and the
+    attribute union (Figure 2 left), in a fixed number of statements
+    whatever the attribute count."""
     times: dict[str, float] = {}
     with _timed(times, "summary"):
         summary = StructuralSummary(store)
         cfss = graph_cfss(summary)
-    with _timed(times, "offline_attribute_analysis"):
-        stats = offline_property_stats(store)
-    with _timed(times, "derived_property_enumeration"):
-        attrs = direct_attributes(store)
-        derived, counts = derive_attributes(store, stats, config)
-        attrs.extend(derived)
-        # Cache every attribute table: the online phase reads each one
-        # several times (analysis, transactions, translation, preagg) —
-        # the analog of the paper's attribute tables stored in the DB.
-        attrs = [
-            Attribute(a.name, a.df.cache(), a.kind, a.derived_from) for a in attrs
-        ]
-        # Hash-partitioned by subject like the CFS frames (the summary's
-        # node frame): the online analysis's join with a CFS and its
-        # per-subject groupBys then shuffle neither side, and it runs one
-        # task per shuffle partition, not one per partition of every
-        # attribute table. An explicit count, which adaptive execution
-        # does not coalesce. A local checkpoint (it keeps the
-        # partitioning) rather than a cache: its plan is one scan, so the
-        # SQL statements of a request, which read the union several
-        # times, do not analyze and optimize the union of every attribute
-        # table at each read (that halved evaluation time on the
-        # benchmark's graphs).
-        conf = store.triples.sparkSession.conf
-        partitions = int(conf.get("spark.sql.shuffle.partitions"))
-        union = (
-            attribute_union(attrs).repartition(partitions, "s").localCheckpoint()
-            if attrs
-            else None
-        )
+    # The statistics, the path pairs and the union all read the direct
+    # part: cached while they run, released once the union holds it.
+    direct = direct_part(store).cache()
+    try:
+        with _timed(times, "offline_attribute_analysis"):
+            stats = offline_property_stats(direct, summary.nodes)
+        with _timed(times, "derived_property_enumeration"):
+            derived, counts = derive_attributes(direct, stats, config)
+            union = (
+                attribute_union(direct, derivations(direct, derived, config.kw_min_len))
+                if stats
+                else None
+            )
+    finally:
+        direct.unpersist()
+    direct_attrs = [Attribute(p, None, "direct") for p in sorted(summary.all_properties())]
+    attrs = [replace(a, union=union) for a in direct_attrs + derived]
     return OfflineArtifacts(
         store, summary, stats, attrs, counts, cfss, union, times
     )

@@ -39,13 +39,13 @@ class StructuralSummary:
     """Characteristic-set summary: node groups by outgoing property set."""
 
     def __init__(self, store: TripleStore):
-        self._store = store
-        # (s, cs, types): cs is the sorted concatenation of the outgoing
-        # properties ("" for a node with rdf:type triples only, which is
-        # in no class). Hash-partitioned by subject, like every frame of
-        # facts cached at load.
+        #: One row per node of the graph: (s, cs, types). cs is the
+        #: sorted concatenation of the outgoing properties ("" for a node
+        #: with rdf:type triples only, which is in no class).
+        #: Hash-partitioned by subject, like every frame of facts cached
+        #: at load.
         is_type = F.col("p") == RDF_TYPE
-        self._nodes = (
+        self.nodes = (
             store.triples.groupBy("s")
             .agg(
                 F.concat_ws(
@@ -61,7 +61,7 @@ class StructuralSummary:
         class_sizes: dict[str, int] = {}
         #: Number of nodes of each rdf:type.
         self.type_sizes: dict[str, int] = {}
-        for r in self._nodes.groupBy("cs", "types").count().collect():
+        for r in self.nodes.groupBy("cs", "types").count().collect():
             if r["cs"]:
                 class_sizes[r["cs"]] = class_sizes.get(r["cs"], 0) + r["count"]
             for t in r["types"]:
@@ -80,11 +80,11 @@ class StructuralSummary:
     def members(self, class_id: int) -> DataFrame:
         """Single-column frame ``cf`` with the members of one class."""
         cs = self._cs_by_id[class_id]
-        return self._nodes.filter(F.col("cs") == cs).select(F.col("s").alias("cf"))
+        return self.nodes.filter(F.col("cs") == cs).select(F.col("s").alias("cf"))
 
     def members_of_type(self, rdf_type: str) -> DataFrame:
         """Single-column frame ``cf`` with the nodes of one rdf:type."""
-        return self._nodes.filter(F.array_contains("types", rdf_type)).select(
+        return self.nodes.filter(F.array_contains("types", rdf_type)).select(
             F.col("s").alias("cf")
         )
 
@@ -96,4 +96,4 @@ class StructuralSummary:
         return frozenset(out)
 
     def unpersist(self) -> None:
-        self._nodes.unpersist()
+        self.nodes.unpersist()

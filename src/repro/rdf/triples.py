@@ -4,7 +4,9 @@ The paper's storage model (OntoSQL, Section 4.3): a CFS is a
 single-column table of fact IDs; each attribute ``a`` has a table
 ``t_a`` holding the ``(s, o)`` pairs of all ``(s, a, o)`` triples. We
 mirror that layout with DataFrames: one ``(s, p, o)`` triple frame,
-from which per-property ``(s, o)`` frames are sliced on demand.
+from which the load builds one tagged ``(a, s, o)`` union of every
+attribute table (``core/attributes.py``); each ``t_a`` is its slice
+``a = :name``.
 
 All three columns are strings; numeric literals are detected downstream
 by try-casting (`attributes.py`). ``rdf:type`` is an ordinary property
@@ -44,9 +46,9 @@ def triples_from_rows(spark: SparkSession, rows: list[tuple[str, str, str]]) -> 
 class TripleStore:
     """An RDF graph as a Spark DataFrame of (s, p, o) triples.
 
-    Provides the per-property (s, o) slices and the type index that the
-    rest of the pipeline (attribute analysis, CFS selection) consumes.
-    The triple frame is cached because every property slice scans it.
+    The triple frame is cached: the load's statements (structural
+    summary, the attribute union) and the per-property (s, o) slices of
+    property-based CFSs all scan it.
     """
 
     def __init__(self, triples: DataFrame, *, name: str = "graph"):
@@ -59,39 +61,11 @@ class TripleStore:
         """Total number of triples in the graph."""
         return self.triples.count()
 
-    def properties(self) -> list[str]:
-        """All distinct property URIs except rdf:type, sorted."""
-        rows = (
-            self.triples.filter(F.col("p") != RDF_TYPE)
-            .select("p")
-            .distinct()
-            .collect()
-        )
-        return sorted(r["p"] for r in rows)
-
-    def types(self) -> list[str]:
-        """All distinct rdf:type objects, sorted."""
-        rows = (
-            self.triples.filter(F.col("p") == RDF_TYPE)
-            .select("o")
-            .distinct()
-            .collect()
-        )
-        return sorted(r["o"] for r in rows)
-
     # -- slices -------------------------------------------------------------
     def property_table(self, prop: str) -> DataFrame:
         """The (s, o) table of one property — the paper's ``t_a``."""
         return (
             self.triples.filter(F.col("p") == prop)
-            .select("s", "o")
-            .distinct()
-        )
-
-    def type_table(self) -> DataFrame:
-        """(s, o) pairs of rdf:type triples (o = the type)."""
-        return (
-            self.triples.filter(F.col("p") == RDF_TYPE)
             .select("s", "o")
             .distinct()
         )
@@ -105,10 +79,6 @@ class TripleStore:
             .select(F.col("s").alias("cf"))
             .distinct()
         )
-
-    def subjects(self) -> DataFrame:
-        """Single-column frame ``cf`` of all subjects in the graph."""
-        return self.triples.select(F.col("s").alias("cf")).distinct()
 
     def subjects_with_properties(self, props: list[str]) -> DataFrame:
         """Subjects having *all* the given outgoing properties."""

@@ -1,12 +1,18 @@
 """Shared test helpers: the paper's Figure 1 graph, oracle glue."""
 from __future__ import annotations
 
+from dataclasses import replace
+from functools import reduce
+
 import numpy as np
 import pandas as pd
-from pyspark.sql import SparkSession
+from pyspark.sql import DataFrame, SparkSession
+from pyspark.sql import functions as F
 from pyspark.sql.types import DoubleType, StringType, StructField, StructType
 
-from repro.core.config import COUNT_STAR
+from repro.core.attributes import direct_part
+from repro.core.config import COUNT_STAR, SpadeConfig
+from repro.core.derived import derivations
 from repro.mda_oracle import mda_oracle_sql, oracle_tables, positional
 from repro.oracle import assert_equivalent
 from repro.rdf.triples import TripleStore, triples_from_rows
@@ -43,6 +49,20 @@ FIGURE1_ROWS = [
 def figure1_store(spark: SparkSession) -> TripleStore:
     """The paper's Figure 1 running-example graph."""
     return TripleStore(triples_from_rows(spark, FIGURE1_ROWS), name="figure1")
+
+
+def with_table(store: TripleStore, attribute):
+    """A derived attribute with its own (s, o) table, from its
+    derivation fragment over the store's direct part."""
+    (rows,) = derivations(direct_part(store), [attribute], SpadeConfig().kw_min_len)
+    return replace(attribute, table=rows.run().select("s", "o"))
+
+
+def union_of(attributes) -> DataFrame:
+    """The tagged union (a, s, o) of attributes that bring their own
+    (s, o) tables, as a loaded graph's attribute union holds them."""
+    frames = [a.df.select(F.lit(a.name).alias("a"), "s", "o") for a in attributes]
+    return reduce(DataFrame.unionByName, frames)
 
 
 def mda_result_schema(dims: tuple[str, ...]) -> StructType:

@@ -5,10 +5,12 @@ from pyspark.sql import functions as F
 from repro.core.attributes import (
     Attribute,
     analyze_attributes,
-    attribute_union,
+    direct_part,
     offline_property_stats,
 )
+from repro.rdf.summary import StructuralSummary
 from repro.rdf.triples import TripleStore, triples_from_rows
+from tests.helpers import union_of
 
 
 @pytest.fixture(scope="module")
@@ -32,7 +34,7 @@ def store(spark):
 
 @pytest.fixture(scope="module")
 def offline(store):
-    return offline_property_stats(store)
+    return offline_property_stats(direct_part(store), StructuralSummary(store).nodes)
 
 
 def test_support(offline):
@@ -88,22 +90,22 @@ def _attrs(store):
 
 def test_online_restricted_to_cfs(spark, store):
     cfs = store.nodes_of_type("T")  # a, b — excludes c
-    stats, _ = analyze_attributes(cfs, _attrs(store))
+    stats, _ = analyze_attributes(cfs, _attrs(store), union_of(_attrs(store)))
     assert stats["cat"].support == 2
     assert stats["cat"].n_distinct == 2  # z belongs to c only
 
 
 def test_online_zero_stats_for_absent_attribute(spark, store):
     cfs = store.nodes_of_type("T")
-    missing = Attribute("nope", store.property_table("nope"), "direct")
-    stats, _ = analyze_attributes(cfs, _attrs(store) + [missing])
+    attrs = _attrs(store) + [Attribute("nope", store.property_table("nope"), "direct")]
+    stats, _ = analyze_attributes(cfs, attrs, union_of(attrs))
     assert stats["nope"].support == 0
 
 
 def test_online_with_prebuilt_union(spark, store):
     cfs = store.nodes_of_type("T")
     attrs = _attrs(store)
-    union = attribute_union(attrs).cache()
+    union = union_of(attrs).cache()
     stats, _ = analyze_attributes(cfs, attrs, union)
     assert stats["num"].support == 2
     union.unpersist()

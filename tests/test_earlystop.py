@@ -2,7 +2,7 @@
 import numpy as np
 import pytest
 
-from repro.core.attributes import Attribute, attribute_union
+from repro.core.attributes import Attribute
 from repro.core.config import COUNT_STAR, SpadeConfig
 from repro.core.derived import path_attribute
 from repro.core.earlystop import (
@@ -22,6 +22,7 @@ from repro.core.mda import MDAKey
 from repro.core.mvdcube import translate
 from repro.core.preagg import preaggregate
 from repro.core.interestingness import variance
+from tests.helpers import union_of, with_table
 
 
 # ---------------------------------------------------------------------------
@@ -56,10 +57,10 @@ def fig1_inputs(spark, fig1):
         "nationality": Attribute(
             "nationality", fig1.property_table("nationality"), "direct"
         ),
-        "company/area": path_attribute(fig1, "company", "area"),
+        "company/area": with_table(fig1, path_attribute("company", "area")),
         "netWorth": Attribute("netWorth", fig1.property_table("netWorth"), "direct"),
     }
-    union = attribute_union(list(attrs.values()))
+    union = union_of(list(attrs.values()))
     return cfs, union, preaggregate(union, ["netWorth"])
 
 

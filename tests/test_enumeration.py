@@ -18,6 +18,7 @@ from repro.core.enumeration import (
     enumerate_lattices,
 )
 from repro.rdf.triples import TripleStore, triples_from_rows
+from tests.helpers import union_of
 
 
 def _aa(name, *, support=100, n_distinct=5, numeric=False, kind="direct",
@@ -81,7 +82,9 @@ def enum_attrs(enum_store):
         Attribute(n, enum_store.property_table(n), "direct")
         for n in ("d1", "d2", "d3", "m")
     ]
-    stats, patterns = analyze_attributes(enum_store.nodes_of_type("T"), attrs)
+    stats, patterns = analyze_attributes(
+        enum_store.nodes_of_type("T"), attrs, union_of(attrs)
+    )
     return patterns, analyzed(attrs, stats)
 
 
@@ -157,7 +160,7 @@ def test_measure_conflicting_with_dim_excluded(enum_store):
         ),
         Attribute("m", enum_store.property_table("m"), "direct"),
     ]
-    stats, patterns = analyze_attributes(cfs, attrs)
+    stats, patterns = analyze_attributes(cfs, attrs, union_of(attrs))
     specs = enumerate_lattices("T", 40, analyzed(attrs, stats), patterns, SpadeConfig())
     for spec in specs:
         if "d1" in spec.dims:

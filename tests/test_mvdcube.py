@@ -11,7 +11,7 @@ import numpy as np
 import pandas as pd
 import pytest
 
-from repro.core.attributes import Attribute, attribute_union
+from repro.core.attributes import Attribute
 from repro.core.config import COUNT_STAR
 from repro.core.derived import path_attribute
 from repro.core.enumeration import LatticeSpec
@@ -20,7 +20,12 @@ from repro.core.mvdcube import MVDCubeEvaluator, translate
 from repro.core.preagg import preaggregate
 from repro.datagen.generator import generate
 from repro.datagen.schema import GraphSpec, NodeClassSpec, PropertySpec
-from tests.helpers import assert_mda_matches_oracle, group_value
+from tests.helpers import (
+    assert_mda_matches_oracle,
+    group_value,
+    union_of,
+    with_table,
+)
 
 FUNCS = ("count", "sum", "avg", "min", "max")
 
@@ -36,14 +41,14 @@ def fig1_eval(spark, fig1):
             "nationality", fig1.property_table("nationality"), "direct"
         ),
         "gender": Attribute("gender", fig1.property_table("gender"), "direct"),
-        "company/area": path_attribute(fig1, "company", "area"),
+        "company/area": with_table(fig1, path_attribute("company", "area")),
         "countryOfOrigin": Attribute(
             "countryOfOrigin", fig1.property_table("countryOfOrigin"), "direct"
         ),
         "netWorth": Attribute("netWorth", fig1.property_table("netWorth"), "direct"),
         "age": Attribute("age", fig1.property_table("age"), "direct"),
     }
-    union = attribute_union(list(attrs.values()))
+    union = union_of(list(attrs.values()))
     preagg = preaggregate(union, ["netWorth", "age"])
     spec = LatticeSpec(
         cfs_name="CEO",
@@ -207,7 +212,7 @@ def mv(spark):
         name: Attribute(name, store.property_table(name), "direct")
         for name in ("color", "size", "score", "weight")
     }
-    union = attribute_union(list(attrs.values()))
+    union = union_of(list(attrs.values()))
     preagg = preaggregate(union, ["score", "weight"])
     spec = LatticeSpec(
         "F",

@@ -14,7 +14,7 @@ import pytest
 from pyspark.sql import functions as F
 
 from repro.core import spade
-from repro.core.attributes import _finish_stats, _stats_aggs, analyze_attributes, analyzed
+from repro.core.attributes import _STATS, _finish_stats, analyze_attributes, analyzed
 from repro.core.cfs import analyzable, select_cfss
 from repro.core.enumeration import dimension_transactions, eligible_dimensions
 
@@ -37,7 +37,10 @@ def _two_job_stats(cfs_df, union):
     members = cfs_df.select(F.col("cf").alias("s")).distinct()
     joined = union.join(members, "s")
     rows = (
-        joined.withColumn("is_node", F.lit(0)).groupBy("a").agg(*_stats_aggs()).collect()
+        joined.withColumn("is_node", F.lit(0))
+        .groupBy("a")
+        .agg(*[F.expr(e) for e in _STATS])
+        .collect()
     )
     multi_rows = (
         joined.groupBy("a", "s")

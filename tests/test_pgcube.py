@@ -4,7 +4,7 @@ Figure 4 / Variation 1-2 errors on multi-valued data, and correctness
 import pandas as pd
 import pytest
 
-from repro.core.attributes import Attribute, attribute_union
+from repro.core.attributes import Attribute
 from repro.core.config import COUNT_STAR
 from repro.core.derived import path_attribute
 from repro.core.enumeration import LatticeSpec
@@ -13,7 +13,12 @@ from repro.core.pgcube import PGCubeEvaluator
 from repro.core.preagg import preaggregate
 from repro.datagen.generator import generate
 from repro.datagen.schema import GraphSpec, NodeClassSpec, PropertySpec
-from tests.helpers import assert_mda_matches_oracle, group_value
+from tests.helpers import (
+    assert_mda_matches_oracle,
+    group_value,
+    union_of,
+    with_table,
+)
 
 FUNCS = ("count", "sum", "avg", "min", "max")
 
@@ -26,11 +31,11 @@ def fig1_pg(spark, fig1):
             "nationality", fig1.property_table("nationality"), "direct"
         ),
         "gender": Attribute("gender", fig1.property_table("gender"), "direct"),
-        "company/area": path_attribute(fig1, "company", "area"),
+        "company/area": with_table(fig1, path_attribute("company", "area")),
         "netWorth": Attribute("netWorth", fig1.property_table("netWorth"), "direct"),
         "age": Attribute("age", fig1.property_table("age"), "direct"),
     }
-    union = attribute_union(list(attrs.values()))
+    union = union_of(list(attrs.values()))
     preagg = preaggregate(union, ["netWorth", "age"])
     spec = LatticeSpec(
         cfs_name="CEO",
@@ -149,7 +154,7 @@ def sv(spark):
         n: Attribute(n, store.property_table(n), "direct")
         for n in ("color", "size", "score")
     }
-    union = attribute_union(list(attrs.values()))
+    union = union_of(list(attrs.values()))
     preagg = preaggregate(union, ["score"])
     spec = LatticeSpec(
         "F", dims=("color", "size"), measures=("score",), funcs={"score": FUNCS}

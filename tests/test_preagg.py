@@ -3,9 +3,10 @@ import math
 
 import pytest
 
-from repro.core.attributes import Attribute, attribute_union
+from repro.core.attributes import Attribute
 from repro.core.preagg import preaggregate
 from repro.rdf.triples import TripleStore, triples_from_rows
+from tests.helpers import union_of
 
 
 @pytest.fixture(scope="module")
@@ -22,7 +23,7 @@ def preagg(spark):
         Attribute("m", store.property_table("m"), "direct"),
         Attribute("w", store.property_table("w"), "direct"),
     ]
-    pa = preaggregate(attribute_union(attrs), ["m", "w"])
+    pa = preaggregate(union_of(attrs), ["m", "w"])
     rows_by_cf = {r["cf"]: r.asDict() for r in pa.query.run().collect()}
     yield pa, rows_by_cf
     store.unpersist()

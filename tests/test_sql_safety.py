@@ -9,7 +9,7 @@ report every property.
 """
 import pytest
 
-from repro.core.attributes import Attribute, analyze_attributes, attribute_union
+from repro.core.attributes import Attribute, analyze_attributes
 from repro.core.config import COUNT_STAR
 from repro.core.enumeration import LatticeSpec
 from repro.core.lattice import Lattice
@@ -18,7 +18,7 @@ from repro.core.mvdcube import MVDCubeEvaluator
 from repro.core.pgcube import PGCubeEvaluator
 from repro.core.preagg import preaggregate
 from repro.rdf.triples import TripleStore, triples_from_rows
-from tests.helpers import assert_mda_matches_oracle
+from tests.helpers import assert_mda_matches_oracle, union_of
 
 DIMS = ("o'reilly", 'a"b', "x`y")
 MEASURES = ("{z}", ":m0", "back\\slash")
@@ -49,7 +49,7 @@ def hostile(spark):
     store = TripleStore(triples_from_rows(spark, _rows()))
     cfs = store.nodes_of_type("F")
     attrs = {n: Attribute(n, store.property_table(n), "direct") for n in DIMS + MEASURES}
-    union = attribute_union(list(attrs.values()))
+    union = union_of(list(attrs.values()))
     preagg = preaggregate(union, list(MEASURES))
     spec = LatticeSpec(
         "F", dims=DIMS, measures=MEASURES,
@@ -91,7 +91,9 @@ def test_evaluators_match_oracle(spark, hostile, evaluator, dims):
 
 def test_online_analysis_reports_every_property(hostile):
     _, tables, cfs, attrs = hostile
-    stats, patterns = analyze_attributes(cfs, list(attrs.values()))
+    stats, patterns = analyze_attributes(
+        cfs, list(attrs.values()), union_of(attrs.values())
+    )
     for name in DIMS + MEASURES:
         assert stats[name].support == tables["attrs"][name]["s"].nunique()
         assert stats[name].is_numeric == (name in MEASURES)

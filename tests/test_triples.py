@@ -31,14 +31,6 @@ def test_num_triples(tiny):
     assert tiny.num_triples() == 8
 
 
-def test_properties_excludes_rdf_type(tiny):
-    assert tiny.properties() == ["p1", "p2", "p3"]
-
-
-def test_types(tiny):
-    assert tiny.types() == ["T1", "T2"]
-
-
 def test_property_table_contents(tiny):
     rows = {(r["s"], r["o"]) for r in tiny.property_table("p1").collect()}
     assert rows == {("a", "x"), ("a", "y")}
@@ -62,10 +54,6 @@ def test_nodes_of_missing_type_empty(tiny):
     assert tiny.nodes_of_type("nope").count() == 0
 
 
-def test_subjects(tiny):
-    assert {r["cf"] for r in tiny.subjects().collect()} == {"a", "b", "c"}
-
-
 def test_subjects_with_properties_single(tiny):
     assert {r["cf"] for r in tiny.subjects_with_properties(["p2"]).collect()} == {
         "a",
@@ -76,11 +64,6 @@ def test_subjects_with_properties_single(tiny):
 def test_subjects_with_properties_conjunctive(tiny):
     got = {r["cf"] for r in tiny.subjects_with_properties(["p1", "p2"]).collect()}
     assert got == {"a"}
-
-
-def test_type_table(tiny):
-    rows = {(r["s"], r["o"]) for r in tiny.type_table().collect()}
-    assert rows == {("a", "T1"), ("b", "T1"), ("b", "T2")}
 
 
 def test_triples_from_pandas_roundtrip(spark):
