@@ -8,21 +8,22 @@ A loaded graph holds all its attribute tables as one tagged union
 (a, s, o), built from the direct part and one fragment per derivation
 kind; each table is a lazy slice of it. Offline analysis computes
 graph-global per-property statistics in one statement over the direct
-part. Online analysis recomputes the statistics restricted to one CFS,
-for direct *and* derived attributes, in two Spark jobs over the union.
-Its second job also yields the CFS's weighted attribute-set patterns,
-from which aggregate enumeration mines its maximal frequent sets
-without another pass over the data.
+part. Online analysis recomputes the statistics restricted to each
+analyzed CFS, for direct *and* derived attributes, in one statement over
+the union for all the CFSs of a request. The same statement yields each
+CFS's weighted attribute-set patterns, from which aggregate enumeration
+mines its maximal frequent sets without another pass over the data.
 """
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 from repro.core.query import Query, with_ctes
-from repro.rdf.triples import RDF_TYPE, TripleStore
+from repro.rdf.triples import RDF_TYPE, TripleStore, shuffle_partitions
 
 
 @dataclass(frozen=True)
@@ -95,19 +96,24 @@ class AnalyzedAttribute:
         return self.attribute.name
 
 
-#: Aggregates shared by offline and online analysis, as SQL over
-#: (a, s, o, is_node). try_cast: ANSI mode (Spark 4 default) makes plain
-#: cast throw on non-numeric strings; we want NULL to detect numeric
-#: properties.
-_STATS = (
-    "count(DISTINCT s) AS support",
+#: Aggregates over the values of each attribute, shared by offline and
+#: online analysis, as SQL over (a, s, o). try_cast: ANSI mode (Spark 4
+#: default) makes plain cast throw on non-numeric strings; we want NULL
+#: to detect numeric properties.
+_VALUE_STATS = (
     "count(o) AS n_values",
-    "count(DISTINCT o) AS n_distinct",
     "sum(IF(try_cast(o AS DOUBLE) IS NULL, 1, 0)) AS non_numeric",
     r"avg(IF(o RLIKE '\\s', 1D, 0D)) AS text_frac",
-    "avg(IF(is_node = 1, 1D, 0D)) AS ref_frac",
     "min(try_cast(o AS DOUBLE)) AS vmin",
     "max(try_cast(o AS DOUBLE)) AS vmax",
+)
+
+#: Every statistic of offline analysis, as SQL over (a, s, o, is_node).
+_STATS = (
+    "count(DISTINCT s) AS support",
+    "count(DISTINCT o) AS n_distinct",
+    "avg(IF(is_node = 1, 1D, 0D)) AS ref_frac",
+    *_VALUE_STATS,
 )
 
 
@@ -129,12 +135,6 @@ def _finish_stats(rows, multi: dict[str, int]) -> dict[str, AttributeStats]:
     return out
 
 
-def _partitions(df: DataFrame) -> int:
-    """The session's shuffle partition count: every frame of facts
-    cached at load is hash-partitioned by subject into that many."""
-    return int(df.sparkSession.conf.get("spark.sql.shuffle.partitions"))
-
-
 def direct_part(store: TripleStore) -> DataFrame:
     """The rows (a, s, o) of every direct attribute: the distinct
     non-type triples, tagged by their property and hash-partitioned by
@@ -143,7 +143,7 @@ def direct_part(store: TripleStore) -> DataFrame:
     return (
         store.triples.where(F.col("p") != RDF_TYPE)
         .select(F.col("p").alias("a"), "s", "o")
-        .repartition(_partitions(store.triples), "s")
+        .repartition(shuffle_partitions(store.triples), "s")
         .distinct()
     )
 
@@ -185,65 +185,87 @@ def attribute_union(direct: DataFrame, derivations: list[Query]) -> DataFrame:
     parts = [Query("SELECT a, s, o FROM {direct}", frames={"direct": direct})]
     ctes = [(f"part{i}", q) for i, q in enumerate(parts + derivations)]
     rows = with_ctes(ctes, " UNION ALL ".join(f"SELECT * FROM {n}" for n, _ in ctes))
-    return rows.run().repartition(_partitions(direct), "s").localCheckpoint()
+    return rows.run().repartition(shuffle_partitions(direct), "s").localCheckpoint()
 
 
-#: The union restricted to one CFS (its frame holds distinct facts);
-#: reference detection is an offline decision, so ``is_node`` is 0.
-_IN_CFS = "SELECT u.a, u.s, u.o, 0 AS is_node FROM {union} u JOIN {cfs} c ON u.s = c.cf"
-
-#: Per fact, its attribute set and the subset it has several values of,
-#: counted by (set, subset).
-_PATTERNS = (
-    "SELECT attrs, multi, count(1) AS count FROM ("
-    "SELECT sort_array(collect_set(a)) AS attrs,"
+#: Per fact ``s`` of CFS ``k``: its attribute set and the subset it has
+#: several values of (``rows`` holds the CFS-tagged union rows).
+_FACTS = (
+    "SELECT k, sort_array(collect_set(a)) AS attrs,"
     " sort_array(collect_set(IF(nv > 1, a, NULL))) AS multi FROM ("
-    f"SELECT a, s, count(o) AS nv FROM ({_IN_CFS}) GROUP BY a, s"
-    ") GROUP BY s) GROUP BY attrs, multi"
+    "SELECT k, a, s, count(o) AS nv FROM rows GROUP BY k, a, s) GROUP BY k, s"
 )
+
+#: Both outputs of online analysis, padded to one schema: the value
+#: statistics per (CFS, attribute), and the facts counted per (CFS,
+#: attribute set, multi-valued subset). A pattern row has no ``a``.
+_ONLINE = (
+    f"SELECT k, a, {', '.join(_VALUE_STATS)}, size(collect_set(o)) AS n_distinct,"
+    " NULL AS attrs, NULL AS multi, NULL AS count FROM rows GROUP BY k, a UNION ALL"
+    f" SELECT k, NULL, {', '.join(['NULL'] * (len(_VALUE_STATS) + 1))}, attrs, multi,"
+    " count(1) FROM facts GROUP BY k, attrs, multi"
+)
+
+Patterns = list[tuple[frozenset[str], int]]
 
 
 def analyze_attributes(
-    cfs_df: DataFrame,
+    cfs_dfs: list[DataFrame],
     attributes: list[Attribute],
     attr_union: DataFrame,
-) -> tuple[dict[str, AttributeStats], list[tuple[frozenset[str], int]]]:
-    """Online Attribute Analysis: stats of many attributes over one CFS.
+) -> list[tuple[dict[str, AttributeStats], Patterns]]:
+    """Online Attribute Analysis: stats of many attributes over several
+    CFSs, one (stats, patterns) pair per frame of ``cfs_dfs``.
 
-    All attributes come as one tagged union frame, restricted to the
-    CFS by one join (``cfs_df`` holds distinct facts, as every
-    ``CandidateFactSet`` frame does). The analysis is two SQL
-    statements, two Spark jobs, regardless of the attribute count:
+    One SQL statement and one Spark action, whatever the number of CFSs
+    and attributes: the members of every CFS (distinct facts, as in
+    every ``CandidateFactSet`` frame), tagged by their CFS's position,
+    join the attribute union once; its rows give
 
-    * per-attribute statistics (one ``groupBy("a")``);
-    * the CFS's attribute-set patterns: for each fact, the set of its
+    * per (CFS, attribute), the value statistics;
+    * per CFS, its attribute-set patterns: for each fact, the set of its
       attributes and the subset it has several values of, counted by
-      (set, subset). The subsets give ``multi_count``; the sets, with
-      their counts, are returned as the weighted patterns that
-      aggregate enumeration projects onto its dimensions
+      (set, subset). Summed over the sets and subsets holding an
+      attribute, the counts give ``support`` and ``multi_count``; the
+      sets, with their counts, are the weighted patterns that aggregate
+      enumeration projects onto its dimensions
       (``enumeration.dimension_transactions``) without Spark.
 
-    ref_frac is 0 here: reference detection is an offline decision.
+    Attributes absent from a CFS get zeroed stats. ref_frac is 0 here:
+    reference detection is an offline decision.
     """
-    if not attributes:
-        return {}, []
-    frames = {"union": attr_union, "cfs": cfs_df}
-    stats_sql = f"SELECT a, {', '.join(_STATS)} FROM ({_IN_CFS}) GROUP BY a"
-    rows = Query(stats_sql, frames=frames).run().collect()
-    pattern_rows = Query(_PATTERNS, frames=frames).run().collect()
-    multi: dict[str, int] = {}
-    patterns: dict[frozenset[str], int] = {}
-    for r in pattern_rows:
-        for a in r["multi"]:
-            multi[a] = multi.get(a, 0) + r["count"]
-        attrs = frozenset(r["attrs"])
-        patterns[attrs] = patterns.get(attrs, 0) + r["count"]
-    stats = _finish_stats(rows, multi)
-    # Attributes absent from the CFS entirely get zeroed stats.
-    for a in attributes:
-        if a.name not in stats:
-            stats[a.name] = AttributeStats(0, 0, 0, 0, False, 0.0, 0.0, None, None)
-    return stats, list(patterns.items())
+    if not cfs_dfs or not attributes:
+        return [({}, []) for _ in cfs_dfs]
+    tagged = [f"SELECT {k} AS k, cf FROM {{c{k}}}" for k in range(len(cfs_dfs))]
+    members = Query(
+        " UNION ALL ".join(tagged), frames={f"c{k}": df for k, df in enumerate(cfs_dfs)}
+    )
+    joined = Query(
+        "SELECT m.k, u.a, u.s, u.o FROM {union} u JOIN members m ON u.s = m.cf",
+        frames={"union": attr_union},
+    )
+    ctes = [("members", members), ("rows", joined), ("facts", Query(_FACTS))]
+    stat_rows: list[list[dict]] = [[] for _ in cfs_dfs]
+    support: list[Counter[str]] = [Counter() for _ in cfs_dfs]
+    multi: list[Counter[str]] = [Counter() for _ in cfs_dfs]
+    patterns: list[Counter[frozenset[str]]] = [Counter() for _ in cfs_dfs]
+    for r in with_ctes(ctes, _ONLINE).run().collect():
+        k, n = r["k"], r["count"]
+        if r["a"] is not None:
+            stat_rows[k].append(r.asDict())
+            continue
+        support[k].update(dict.fromkeys(r["attrs"], n))
+        multi[k].update(dict.fromkeys(r["multi"], n))
+        patterns[k][frozenset(r["attrs"])] += n
+    zero = AttributeStats(0, 0, 0, 0, False, 0.0, 0.0, None, None)
+    out = []
+    for k in range(len(cfs_dfs)):
+        rows = [
+            {**r, "support": support[k][r["a"]], "ref_frac": 0.0} for r in stat_rows[k]
+        ]
+        stats = {a.name: zero for a in attributes} | _finish_stats(rows, multi[k])
+        out.append((stats, list(patterns[k].items())))
+    return out
 
 
 def analyzed(attributes: list[Attribute], stats: dict[str, AttributeStats]) -> list[AnalyzedAttribute]:

@@ -70,11 +70,13 @@ def select_cfss(
     ``cfss`` is the graph's list from ``graph_cfss``; summary classes
     below ``config.min_cfs_size`` are dropped. Property-based CFSs
     (``config.property_cfss``) are the only ones that cost Spark jobs
-    here. Returned sorted by decreasing size (ties by name).
+    here, one each to size it; their frames are not cached (the cached
+    triples rebuild them), so a request leaves no cached frame behind.
+    Returned sorted by decreasing size (ties by name).
     """
     out = [c for c in cfss if c.source != "summary" or c.size >= config.min_cfs_size]
     for props in config.property_cfss:
-        df = store.subjects_with_properties(list(props)).cache()
+        df = store.subjects_with_properties(list(props))
         out.append(
             CandidateFactSet("props:" + "+".join(props), df, df.count(), "property")
         )

@@ -232,7 +232,6 @@ def build_candidates(
     """
     from itertools import combinations
 
-    SEP = "\x1f"
     out: list[ESCandidate] = []
     n = len(spec.dims)
     pairs: list[tuple[int, str, str]] = [(-1, COUNT_STAR, "count")] + [
@@ -253,17 +252,24 @@ def build_candidates(
             sub = sub[sub.groupby(dcols, sort=False).cumcount() < capacity]
             # Contiguous groups, priority order within each group.
             sub = sub.sort_values(dcols, kind="stable")
-            gkey = sub[dcols[0]].astype(str)
-            for c in dcols[1:]:
-                gkey = gkey + SEP + sub[c].astype(str)
-            gkey = gkey.to_numpy()
+            # One integer key per group (dimension tuple), shared by the
+            # sample and the cell counts: numbered in order of first
+            # appearance, so the sorted sample's keys ascend.
+            csub = cnts.dropna(subset=dcols)
+            keys = (
+                pd.concat([sub[dcols], csub[dcols]], ignore_index=True)
+                .groupby(dcols, sort=False)
+                .ngroup()
+                .to_numpy()
+            )
+            gkey = keys[: len(sub)]
             # Estimated group sizes from exact root-cell counts
             # (overestimates under multi-valued dims; Appendix B).
-            csub = cnts.dropna(subset=dcols)
-            ckey = csub[dcols[0]].astype(str)
-            for c in dcols[1:]:
-                ckey = ckey + SEP + csub[c].astype(str)
-            size_by_key = csub.groupby(ckey.to_numpy())["n"].sum().to_dict()
+            size_by_key = np.bincount(
+                keys[len(sub) :],
+                weights=csub["n"].to_numpy(np.float64),
+                minlength=keys.max(initial=-1) + 1,
+            )
             node_names = tuple(sorted(spec.dims[i] for i in pos))
             for midx, m, f in pairs:
                 vals = _pair_values(sub, midx, f)
@@ -273,10 +279,7 @@ def build_candidates(
                 uk, starts, lengths = np.unique(
                     sel_keys, return_index=True, return_counts=True
                 )
-                sizes = np.array(
-                    [size_by_key.get(k, 0) or l for k, l in zip(uk, lengths)],
-                    dtype=np.float64,
-                )
+                sizes = np.where(size_by_key[uk] > 0, size_by_key[uk], lengths)
                 cand = ESCandidate(
                     MDAKey(spec.cfs_name, node_names, m, f),
                     f,

@@ -3,11 +3,12 @@
 Offline phase: structural summary, the graph's type- and summary-based
 CFSs, offline attribute analysis, derived property enumeration, and the
 checkpointed attribute union. Online phase: CFS selection (filtering the
-graph's CFSs; no Spark job) → online attribute analysis (two Spark jobs
-per CFS) → aggregate enumeration (no Spark job, from the analysis's
-attribute-set patterns) → aggregate evaluation (MVDCube or PGCube,
-optionally with early-stop) → top-k computation. Every step is
-wall-clock timed (`SpadeResult.times`) for Experiment 5's breakdown.
+graph's CFSs; no Spark job) → online attribute analysis (one Spark
+statement for all the analyzed CFSs) → aggregate enumeration (no Spark
+job, from the analysis's attribute-set patterns) → aggregate evaluation
+(MVDCube or PGCube, optionally with early-stop) → top-k computation.
+Every step is wall-clock timed (`SpadeResult.times`) for Experiment 5's
+breakdown.
 """
 from __future__ import annotations
 
@@ -131,18 +132,19 @@ class SpadeResult:
 def analyze_and_enumerate(
     offline: OfflineArtifacts, config: SpadeConfig, times: dict[str, float]
 ) -> list[CFSAnalysis]:
-    """Steps 1-3 for every analyzable CFS: two Spark jobs per CFS (the
-    online analysis), none for selection or enumeration."""
+    """Steps 1-3 for every analyzable CFS: one Spark statement and one
+    action (the online analysis of all the CFSs), none for selection or
+    enumeration."""
     with _timed(times, "cfs_selection"):
         cfss = analyzable(select_cfss(offline.store, offline.cfss, config), config)
+    with _timed(times, "online_attribute_analysis"):
+        results = analyze_attributes(
+            [c.df for c in cfss], offline.attributes, offline.attr_union
+        )
     analyses: list[CFSAnalysis] = []
-    for cfs in cfss:
-        with _timed(times, "online_attribute_analysis"):
-            stats, patterns = analyze_attributes(
-                cfs.df, offline.attributes, offline.attr_union
-            )
-            present = [a for a in offline.attributes if stats[a.name].support > 0]
-            alist = analyzed(present, stats)
+    for cfs, (stats, patterns) in zip(cfss, results):
+        present = [a for a in offline.attributes if stats[a.name].support > 0]
+        alist = analyzed(present, stats)
         with _timed(times, "aggregate_enumeration"):
             lattices = enumerate_lattices(cfs.name, cfs.size, alist, patterns, config)
         analyses.append(CFSAnalysis(cfs, alist, lattices, offline.attr_union))

@@ -43,12 +43,20 @@ def triples_from_rows(spark: SparkSession, rows: list[tuple[str, str, str]]) -> 
     )
 
 
+def shuffle_partitions(df: DataFrame) -> int:
+    """The session's shuffle partition count: the frames of facts (the
+    attribute union, the CFS frames) are hash-partitioned by subject
+    into that many, an explicit count that adaptive execution does not
+    coalesce."""
+    return int(df.sparkSession.conf.get("spark.sql.shuffle.partitions"))
+
+
 class TripleStore:
     """An RDF graph as a Spark DataFrame of (s, p, o) triples.
 
     The triple frame is cached: the load's statements (structural
-    summary, the attribute union) and the per-property (s, o) slices of
-    property-based CFSs all scan it.
+    summary, the attribute union) and the property-based CFSs all scan
+    it.
     """
 
     def __init__(self, triples: DataFrame, *, name: str = "graph"):
@@ -81,13 +89,18 @@ class TripleStore:
         )
 
     def subjects_with_properties(self, props: list[str]) -> DataFrame:
-        """Subjects having *all* the given outgoing properties."""
-        out = None
-        for prop in props:
-            t = self.property_table(prop).select(F.col("s").alias("cf")).distinct()
-            out = t if out is None else out.join(t, "cf")
-        assert out is not None, "props must be non-empty"
-        return out
+        """Subjects having *all* the given outgoing properties, as a
+        frame ``cf`` hash-partitioned by it like every frame of facts."""
+        if not props:
+            raise ValueError("props must be non-empty")
+        return (
+            self.triples.where(F.col("p").isin(props))
+            .groupBy(F.col("s").alias("cf"))
+            .agg(F.count_distinct("p").alias("n"))
+            .where(F.col("n") == len(set(props)))
+            .select("cf")
+            .repartition(shuffle_partitions(self.triples), "cf")
+        )
 
     def unpersist(self) -> None:
         self.triples.unpersist()

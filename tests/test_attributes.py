@@ -90,7 +90,7 @@ def _attrs(store):
 
 def test_online_restricted_to_cfs(spark, store):
     cfs = store.nodes_of_type("T")  # a, b — excludes c
-    stats, _ = analyze_attributes(cfs, _attrs(store), union_of(_attrs(store)))
+    [(stats, _)] = analyze_attributes([cfs], _attrs(store), union_of(_attrs(store)))
     assert stats["cat"].support == 2
     assert stats["cat"].n_distinct == 2  # z belongs to c only
 
@@ -98,7 +98,7 @@ def test_online_restricted_to_cfs(spark, store):
 def test_online_zero_stats_for_absent_attribute(spark, store):
     cfs = store.nodes_of_type("T")
     attrs = _attrs(store) + [Attribute("nope", store.property_table("nope"), "direct")]
-    stats, _ = analyze_attributes(cfs, attrs, union_of(attrs))
+    [(stats, _)] = analyze_attributes([cfs], attrs, union_of(attrs))
     assert stats["nope"].support == 0
 
 
@@ -106,6 +106,6 @@ def test_online_with_prebuilt_union(spark, store):
     cfs = store.nodes_of_type("T")
     attrs = _attrs(store)
     union = union_of(attrs).cache()
-    stats, _ = analyze_attributes(cfs, attrs, union)
+    [(stats, _)] = analyze_attributes([cfs], attrs, union)
     assert stats["num"].support == 2
     union.unpersist()

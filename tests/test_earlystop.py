@@ -1,4 +1,6 @@
 """Tests for early-stop: sampling, propagation, CIs, pruning loop."""
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from repro.core.derived import path_attribute
 from repro.core.earlystop import (
     ESCandidate,
     GroupSample,
+    RootSample,
     _numeric_gradient,
     _variance_gradient,
     _z_quantile,
@@ -155,6 +158,81 @@ def test_candidates_cover_all_nodes_and_pairs(fig1_sample):
     keys = {c.key for c in cands}
     # 3 non-apex nodes x (count* + sum + avg) = 9.
     assert len(keys) == 9
+
+
+def _groups(cand):
+    """A candidate's groups as sorted (values, size estimate) pairs."""
+    p = cand.packed()
+    return sorted(
+        (tuple(p.concat[s : s + n].tolist()), float(c))
+        for s, n, c in zip(p.starts, p.lengths, p.sizes)
+    )
+
+
+def _fact_value(mvals, i, func):
+    if i < 0:  # count(*)
+        return 1.0
+    if f"m{i}_cnt" not in mvals:  # the fact lacks the measure
+        return None
+    if func == "avg":
+        return mvals[f"m{i}_sum"] / mvals[f"m{i}_cnt"]
+    return mvals[f"m{i}_{'cnt' if func == 'count' else func}"]
+
+
+def _loop_groups(sample, spec, capacity):
+    """Reference propagation, one group at a time: per node, each fact
+    once per group in priority order, at most ``capacity`` facts per
+    group; the size estimate sums the group's root-cell counts."""
+    rows = sorted(
+        (prio, cf, mvals, cell)
+        for cell, cell_rows in sample.cells.items()
+        for prio, cf, mvals in cell_rows
+    )
+    pairs = [(-1, COUNT_STAR, "count")] + [
+        (sample.measures.index(m), m, f) for m in spec.measures for f in spec.funcs[m]
+    ]
+    out = {}
+    n = len(spec.dims)
+    for size in range(n, 0, -1):
+        for pos in combinations(range(n), size):
+            facts: dict[tuple, list] = {}
+            for _, cf, mvals, cell in rows:
+                g = tuple(cell[i] for i in pos)
+                seen = facts.setdefault(g, [])
+                if None not in g and cf not in [c for c, _ in seen] and len(seen) < capacity:
+                    seen.append((cf, mvals))
+            sizes = {g: 0 for g in facts}
+            for cell, count in sample.cell_counts.items():
+                g = tuple(cell[i] for i in pos)
+                if g in sizes:
+                    sizes[g] += count
+            node = tuple(sorted(spec.dims[i] for i in pos))
+            for i, m, f in pairs:
+                groups = []
+                for g, seen in facts.items():
+                    vals = [v for _, mv in seen if (v := _fact_value(mv, i, f)) is not None]
+                    if vals:
+                        groups.append((tuple(vals), float(sizes[g] or len(vals))))
+                out[MDAKey(spec.cfs_name, node, m, f)] = sorted(groups)
+    return out
+
+
+@pytest.mark.parametrize("capacity", [10, 1])
+def test_candidates_equal_loop_reference(fig1_inputs, fig1_sample, capacity):
+    _, spec = fig1_sample
+    (sample,) = _sample(fig1_inputs, [spec.dims], capacity=capacity)
+    cands = build_candidates(sample, spec, capacity=capacity)
+    assert {c.key: _groups(c) for c in cands} == _loop_groups(sample, spec, capacity)
+
+
+def test_group_keys_keep_dimension_tuples_apart():
+    # Joined as text with a separator, these two cells would be one group.
+    spec = LatticeSpec("c", dims=("x", "y"), measures=(), funcs={})
+    cells = {("a\x1fb", "c"): [(1, "f1", {})], ("a", "b\x1fc"): [(2, "f2", {})]}
+    sample = RootSample(2, (), cells, {cell: 3 for cell in cells})
+    cands = {c.key: c for c in build_candidates(sample, spec, capacity=10)}
+    cand = cands[MDAKey("c", ("x", "y"), COUNT_STAR, "count")]
+    assert _groups(cand) == [((1.0,), 3.0), ((1.0,), 3.0)]
 
 
 # ---------------------------------------------------------------------------

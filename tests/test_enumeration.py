@@ -82,8 +82,8 @@ def enum_attrs(enum_store):
         Attribute(n, enum_store.property_table(n), "direct")
         for n in ("d1", "d2", "d3", "m")
     ]
-    stats, patterns = analyze_attributes(
-        enum_store.nodes_of_type("T"), attrs, union_of(attrs)
+    [(stats, patterns)] = analyze_attributes(
+        [enum_store.nodes_of_type("T")], attrs, union_of(attrs)
     )
     return patterns, analyzed(attrs, stats)
 
@@ -160,7 +160,7 @@ def test_measure_conflicting_with_dim_excluded(enum_store):
         ),
         Attribute("m", enum_store.property_table("m"), "direct"),
     ]
-    stats, patterns = analyze_attributes(cfs, attrs, union_of(attrs))
+    [(stats, patterns)] = analyze_attributes([cfs], attrs, union_of(attrs))
     specs = enumerate_lattices("T", 40, analyzed(attrs, stats), patterns, SpadeConfig())
     for spec in specs:
         if "d1" in spec.dims:

@@ -91,8 +91,8 @@ def test_evaluators_match_oracle(spark, hostile, evaluator, dims):
 
 def test_online_analysis_reports_every_property(hostile):
     _, tables, cfs, attrs = hostile
-    stats, patterns = analyze_attributes(
-        cfs, list(attrs.values()), union_of(attrs.values())
+    [(stats, patterns)] = analyze_attributes(
+        [cfs], list(attrs.values()), union_of(attrs.values())
     )
     for name in DIMS + MEASURES:
         assert stats[name].support == tables["attrs"][name]["s"].nunique()
