@@ -1,10 +1,8 @@
 """Aggregate Result Manager (ARM) and Top-k Computation (Steps 4-5).
 
-The ARM receives evaluated MDA results incrementally, maintains
-incremental statistics (count / min / max of the aggregated values,
-updated as results stream in, Section 4's "incrementally updates
-statistics"), and finally applies the interestingness function h in
-one pass over each stored result to produce the top-k list.
+The ARM receives evaluated MDA results incrementally and finally
+applies the interestingness function h in one pass over each stored
+result to produce the top-k list.
 """
 from __future__ import annotations
 
@@ -14,18 +12,15 @@ import numpy as np
 import pandas as pd
 
 from repro.core.interestingness import get as get_h
-from repro.core.mda import MDAKey, mda_values
+from repro.core.mda import MDAKey
 
 
 @dataclass
 class StoredResult:
-    """One evaluated MDA with its incremental statistics."""
+    """One evaluated MDA."""
 
     key: MDAKey
     result: pd.DataFrame  # dims + value
-    n_groups: int
-    vmin: float | None
-    vmax: float | None
 
 
 @dataclass
@@ -44,15 +39,8 @@ class AggregateResultManager:
     _store: dict[MDAKey, StoredResult] = field(default_factory=dict)
 
     def add(self, key: MDAKey, result: pd.DataFrame) -> None:
-        """Store one MDA result, updating incremental statistics."""
-        v = mda_values(result)
-        self._store[key] = StoredResult(
-            key=key,
-            result=result,
-            n_groups=len(result),
-            vmin=float(v.min()) if len(v) else None,
-            vmax=float(v.max()) if len(v) else None,
-        )
+        """Store one MDA result."""
+        self._store[key] = StoredResult(key, result)
 
     def add_all(self, results: dict[MDAKey, pd.DataFrame]) -> None:
         for key, res in results.items():

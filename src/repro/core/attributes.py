@@ -175,12 +175,13 @@ def attribute_union(direct: DataFrame, derivations: list[Query]) -> DataFrame:
     (the analog of the attribute tables stored in the DB): one
     ``UNION ALL`` of the direct part and the derivation fragments.
 
-    Hash-partitioned by subject like the CFS frames, so the online
-    analysis's CFS join and per-subject groupBys shuffle neither side;
-    an explicit partition count, which adaptive execution does not
-    coalesce. A local checkpoint (it keeps the partitioning), not a
-    cache: its plan is one scan, which the statements of a request,
-    reading the union several times, do not re-optimize at each read.
+    Hash-partitioned by subject like the CFS frames, into an explicit
+    partition count, which adaptive execution does not coalesce. With
+    adaptive execution on, though, the checkpoint's scan reports no
+    partitioning to the planner, so a statement's CFS-union join still
+    shuffles both sides. A local checkpoint, not a cache: its plan is
+    one scan, which the statements of a request, reading the union
+    several times, do not re-optimize at each read.
     """
     parts = [Query("SELECT a, s, o FROM {direct}", frames={"direct": direct})]
     ctes = [(f"part{i}", q) for i, q in enumerate(parts + derivations)]

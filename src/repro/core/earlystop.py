@@ -29,6 +29,7 @@ Pipeline:
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from statistics import NormalDist
 
 import numpy as np
 import pandas as pd
@@ -48,52 +49,13 @@ PRIO_COL = "__prio"
 # ---------------------------------------------------------------------------
 @dataclass
 class RootSample:
-    """The stratified sample + exact cell counts of one lattice root."""
+    """The stratified sample of one lattice root: its collected rows."""
 
-    n_dims: int
     measures: tuple[str, ...]  # measure names by position
-    # cell -> list[(priority, cf, mvals)] sorted by priority; mvals is a
-    # dict m{i}_{cnt|sum|min|max} -> float for non-null entries.
-    cells: dict[tuple, list[tuple]]
-    cell_counts: dict[tuple, int]
-
-    def frame(self):
-        """The sample as a pandas frame (d0.., cf, prio, measure cols),
-        globally sorted by priority — built once, cached."""
-        if not hasattr(self, "_frame"):
-            dim_cols = [f"d{i}" for i in range(self.n_dims)]
-            mcols = [
-                f"m{i}_{f}"
-                for i in range(len(self.measures))
-                for f in ("cnt", "sum", "min", "max")
-            ]
-            records = []
-            for cell_key, rows in self.cells.items():
-                for prio, cf, mvals in rows:
-                    rec = dict(zip(dim_cols, cell_key))
-                    rec["cf"] = cf
-                    rec["prio"] = prio
-                    for c in mcols:
-                        rec[c] = mvals.get(c, np.nan)
-                    records.append(rec)
-            df = pd.DataFrame(records, columns=dim_cols + ["cf", "prio"] + mcols)
-            object.__setattr__(
-                self, "_frame", df.sort_values("prio", kind="stable")
-            )
-        return self._frame
-
-    def counts_frame(self):
-        """Exact root-cell counts as a pandas frame (d0.., n)."""
-        if not hasattr(self, "_counts"):
-            dim_cols = [f"d{i}" for i in range(self.n_dims)]
-            rows = [
-                {**dict(zip(dim_cols, k)), "n": v}
-                for k, v in self.cell_counts.items()
-            ]
-            object.__setattr__(
-                self, "_counts", pd.DataFrame(rows, columns=dim_cols + ["n"])
-            )
-        return self._counts
+    # Columns d0.., cf, __prio, n (the cell's exact size) and m{i}_*
+    # (NaN where the fact lacks the measure), sorted by priority. Every
+    # root cell keeps at least one row.
+    rows: pd.DataFrame
 
 
 def draw_root_samples(
@@ -111,10 +73,8 @@ def draw_root_samples(
     (lattice, cell) keeps the ``capacity`` facts of lowest priority
     ``xxhash64(seed, cf, cell)`` — a bottom-k sketch, equivalent to
     reservoir sampling [44] — plus the cell's exact size. All
-    reservoirs of a CFS fill in one Spark action, the
-    sampling-overhead amortization that keeps early-stop a net win (the
-    paper observed negative gains when sampling overhead dominates; see
-    Table 4's Foodista/DBLP rows).
+    reservoirs of a CFS fill in one Spark action, but it is an action
+    of its own: the evaluation statement translates the roots again.
     """
     assert roots
     max_n = max(n for _, n in roots)
@@ -135,67 +95,34 @@ def draw_root_samples(
         f"FROM ({' UNION ALL '.join(selects)})) WHERE pos <= :capacity",
         seed=seed,
         capacity=capacity,
-    ).run().toPandas()
-    samples = [RootSample(n, preagg.measures, {}, {}) for _, n in roots]
-    for rd in pdf.sort_values(PRIO_COL, kind="stable").to_dict("records"):
-        sample = samples[rd["lat"]]
-        key = tuple(
-            None if pd.isna(v := rd[f"d{i}"]) else v for i in range(sample.n_dims)
+    ).run().toPandas().sort_values(PRIO_COL, kind="stable")
+    return [
+        RootSample(
+            preagg.measures,
+            pdf.loc[pdf["lat"] == li, [f"d{i}" for i in range(n)]
+                    + ["cf", PRIO_COL, "n"] + mcols].reset_index(drop=True),
         )
-        mvals = {c: rd[c] for c in mcols if not pd.isna(rd[c])}
-        sample.cells.setdefault(key, []).append((rd[PRIO_COL], rd["cf"], mvals))
-        sample.cell_counts[key] = rd["n"]
-    return samples
+        for li, (_, n) in enumerate(roots)
+    ]
 
 
 # ---------------------------------------------------------------------------
 # Candidates (per-node samples via projection / propagation)
 # ---------------------------------------------------------------------------
 @dataclass
-class GroupSample:
-    """Sampled per-fact values of one aggregate group."""
-
-    values: np.ndarray  # in priority (random) order
-    size_estimate: int  # c_g: sum of contributing root-cell counts
-
-
-@dataclass
-class Packed:
-    """Ragged per-group sample values packed for vectorized estimation."""
-
-    concat: np.ndarray  # all group values concatenated
-    starts: np.ndarray  # start offset of each group in concat
-    lengths: np.ndarray  # sample length of each group
-    sizes: np.ndarray  # c_g estimates
-
-
-@dataclass
 class ESCandidate:
-    """One candidate aggregate with its propagated stratified sample."""
+    """One candidate aggregate with its propagated stratified sample,
+    packed for vectorized estimation: group g's sampled per-fact values,
+    in priority (random) order, are
+    ``values[starts[g]:starts[g] + lengths[g]]``."""
 
     key: MDAKey
     func: str
-    groups: list[GroupSample]
+    values: np.ndarray  # every group's sampled values, group after group
+    starts: np.ndarray  # start offset of each group in values
+    lengths: np.ndarray  # sample length of each group
+    sizes: np.ndarray  # c_g: sum of the group's root-cell counts
     value_bounds: tuple[float, float] | None = None  # global attr (min,max)
-
-    def packed(self) -> Packed:
-        """Pack the ragged group samples once (cached) so batch
-        estimation is pure numpy even with tens of thousands of groups."""
-        if not hasattr(self, "_packed"):
-            lengths = np.array([g.values.size for g in self.groups], dtype=np.int64)
-            starts = np.concatenate(([0], np.cumsum(lengths)[:-1])) if len(
-                lengths
-            ) else np.array([], dtype=np.int64)
-            concat = (
-                np.concatenate([g.values for g in self.groups])
-                if self.groups
-                else np.array([])
-            )
-            sizes = np.array(
-                [g.size_estimate for g in self.groups], dtype=np.float64
-            )
-            object.__setattr__(self, "_packed", Packed(concat, starts, lengths, sizes))
-        return self._packed
 
 
 def _pair_values(sub, midx: int, func: str) -> np.ndarray:
@@ -224,75 +151,59 @@ def build_candidates(
 ) -> list[ESCandidate]:
     """Propagate the root sample to every (node, measure, func) MDA.
 
-    Vectorized (pandas/numpy): for each node, root-cell samples are
-    projected onto the node's dimensions, facts deduplicated per child
-    group in priority order (the bitmap propagation of Figure 5),
-    capped at ``capacity`` per group; the packed ragged arrays feed
-    `estimate_interestingness` directly.
+    Vectorized (pandas/numpy): for each node but the apex, root-cell
+    samples are projected onto the node's dimensions, facts
+    deduplicated per child group in priority order (the bitmap
+    propagation of Figure 5), capped at ``capacity`` per group.
     """
-    from itertools import combinations
-
     out: list[ESCandidate] = []
-    n = len(spec.dims)
-    pairs: list[tuple[int, str, str]] = [(-1, COUNT_STAR, "count")] + [
-        (sample.measures.index(m), m, f)
-        for m in spec.measures
-        for f in spec.funcs[m]
-    ]
-    df = sample.frame()
-    cnts = sample.counts_frame()
-    for size in range(n, 0, -1):
-        for pos in combinations(range(n), size):
-            dcols = [f"d{i}" for i in pos]
-            # Null groups are not reported (Section 2): drop them.
-            sub = df.dropna(subset=dcols)
-            # Bitmap propagation: one row per (group, fact), keeping the
-            # lowest-priority (random-first) row; cap at capacity.
-            sub = sub.drop_duplicates(dcols + ["cf"], keep="first")
-            sub = sub[sub.groupby(dcols, sort=False).cumcount() < capacity]
-            # Contiguous groups, priority order within each group.
-            sub = sub.sort_values(dcols, kind="stable")
-            # One integer key per group (dimension tuple), shared by the
-            # sample and the cell counts: numbered in order of first
-            # appearance, so the sorted sample's keys ascend.
-            csub = cnts.dropna(subset=dcols)
-            keys = (
-                pd.concat([sub[dcols], csub[dcols]], ignore_index=True)
-                .groupby(dcols, sort=False)
-                .ngroup()
-                .to_numpy()
+    df = sample.rows
+    cells = df.drop_duplicates([f"d{i}" for i in range(len(spec.dims))])
+    for pos in spec.nodes()[:-1]:
+        dcols = [f"d{i}" for i in pos]
+        # Null groups are not reported (Section 2): drop them.
+        sub = df.dropna(subset=dcols)
+        # Bitmap propagation: one row per (group, fact), keeping the
+        # lowest-priority (random-first) row; cap at capacity.
+        sub = sub.drop_duplicates(dcols + ["cf"], keep="first")
+        sub = sub[sub.groupby(dcols, sort=False).cumcount() < capacity]
+        # Contiguous groups, priority order within each group.
+        sub = sub.sort_values(dcols, kind="stable")
+        # One integer key per group (dimension tuple), shared by the
+        # sample and the cells: numbered in order of first appearance,
+        # so the sorted sample's keys ascend.
+        csub = cells.dropna(subset=dcols)
+        keys = (
+            pd.concat([sub[dcols], csub[dcols]], ignore_index=True)
+            .groupby(dcols, sort=False)
+            .ngroup()
+            .to_numpy()
+        )
+        # Estimated group sizes from exact root-cell counts
+        # (overestimates under multi-valued dims; Appendix B).
+        size_by_key = np.bincount(
+            keys[len(sub) :], weights=csub["n"].to_numpy(np.float64)
+        )
+        gkey = keys[: len(sub)]
+        node_names = tuple(spec.dims[i] for i in pos)
+        for m, f in spec.pairs:
+            midx = -1 if m == COUNT_STAR else sample.measures.index(m)
+            vals = _pair_values(sub, midx, f)
+            mask = ~np.isnan(vals)
+            uk, starts, lengths = np.unique(
+                gkey[mask], return_index=True, return_counts=True
             )
-            gkey = keys[: len(sub)]
-            # Estimated group sizes from exact root-cell counts
-            # (overestimates under multi-valued dims; Appendix B).
-            size_by_key = np.bincount(
-                keys[len(sub) :],
-                weights=csub["n"].to_numpy(np.float64),
-                minlength=keys.max(initial=-1) + 1,
-            )
-            node_names = tuple(sorted(spec.dims[i] for i in pos))
-            for midx, m, f in pairs:
-                vals = _pair_values(sub, midx, f)
-                mask = ~np.isnan(vals)
-                sel_keys = gkey[mask]
-                sel_vals = vals[mask]
-                uk, starts, lengths = np.unique(
-                    sel_keys, return_index=True, return_counts=True
-                )
-                sizes = np.where(size_by_key[uk] > 0, size_by_key[uk], lengths)
-                cand = ESCandidate(
+            out.append(
+                ESCandidate(
                     MDAKey(spec.cfs_name, node_names, m, f),
                     f,
-                    [],
+                    vals[mask],
+                    starts.astype(np.int64),
+                    lengths.astype(np.int64),
+                    size_by_key[uk],
                     (value_bounds or {}).get(m),
                 )
-                object.__setattr__(
-                    cand,
-                    "_packed",
-                    Packed(sel_vals, starts.astype(np.int64),
-                           lengths.astype(np.int64), sizes),
-                )
-                out.append(cand)
+            )
     return out
 
 
@@ -374,8 +285,7 @@ def estimate_interestingness(
 ) -> Estimate:
     """Ĥ_r(Ȳ) with the Theorem-2 large-sample CI at sample size r."""
     h = get_h(h_name)
-    p = cand.packed()
-    if p.lengths.size < 2:
+    if cand.lengths.size < 2:
         return Estimate(0.0, 0.0, 0.0, r)
 
     if cand.func in ("min", "max"):
@@ -383,14 +293,12 @@ def estimate_interestingness(
         # inequality bounds the variance of values confined to the box
         # [global bound, observed extremes]; the lower bound is 0 (all
         # true extremes could coincide inside the box).
-        take = np.minimum(p.lengths, max(1, r))
-        slices = np.ravel(np.column_stack([p.starts, p.starts + take]))
+        take = np.minimum(cand.lengths, max(1, r))
+        slices = np.ravel(np.column_stack([cand.starts, cand.starts + take]))
         reducer = np.minimum if cand.func == "min" else np.maximum
         # reduceat over [start, start+take) slices; odd positions are
         # the gaps between slices and are discarded.
-        red = reducer.reduceat(
-            np.append(p.concat, np.nan), np.minimum(slices, p.concat.size - 0)
-        )
+        red = reducer.reduceat(np.append(cand.values, np.nan), slices)
         y = red[::2]
         score = h(y)
         if h_name != "variance" or cand.value_bounds is None:
@@ -403,12 +311,11 @@ def estimate_interestingness(
 
     # Vectorized prefix mean/variance at sample size r over the packed
     # ragged arrays (pure numpy even with tens of thousands of groups).
-    p = cand.packed()
-    take = np.minimum(p.lengths, max(1, r))
-    csp = np.concatenate(([0.0], np.cumsum(p.concat)))
-    cs2p = np.concatenate(([0.0], np.cumsum(p.concat**2)))
-    sums = csp[p.starts + take] - csp[p.starts]
-    sq = cs2p[p.starts + take] - cs2p[p.starts]
+    take = np.minimum(cand.lengths, max(1, r))
+    csp = np.concatenate(([0.0], np.cumsum(cand.values)))
+    cs2p = np.concatenate(([0.0], np.cumsum(cand.values**2)))
+    sums = csp[cand.starts + take] - csp[cand.starts]
+    sq = cs2p[cand.starts + take] - cs2p[cand.starts]
     means = sums / take
     with np.errstate(invalid="ignore", divide="ignore"):
         var = np.where(
@@ -417,47 +324,17 @@ def estimate_interestingness(
     if cand.func in ("sum", "count"):
         # Appendix B: S_i = c_i * Ȳ_i with Var(S_i) = c_i² σ̂_i² / r.
         # count(*) sampled values are all 1, so S_i = c_i exactly.
-        y = p.sizes * means
-        var_y = p.sizes**2 * var / take
+        y = cand.sizes * means
+        var_y = cand.sizes**2 * var / take
     else:  # avg
         y = means
         var_y = var / take
     score = h(y)
     grad = gradient(h_name, y)
     tau2 = float(np.sum(var_y * grad**2))
-    eps = _z_quantile(1 - alpha) * np.sqrt(max(tau2, 0.0))
+    # The paper's z_{1-α} is the 1 - α/2 quantile of the standard normal.
+    eps = NormalDist().inv_cdf(1 - alpha / 2) * np.sqrt(max(tau2, 0.0))
     return Estimate(score, max(0.0, score - eps), score + eps, r)
-
-
-def _z_quantile(p: float) -> float:
-    """Quantile z_p of the standard normal via Acklam's rational
-    approximation (no scipy dependency); z_{0.95} ≈ 1.6449."""
-    q = (p + 1) / 2  # the paper's z_p is the (p+1)/2 quantile of Φ
-    # Acklam's algorithm.
-    a = [-3.969683028665376e01, 2.209460984245205e02, -2.759285104469687e02,
-         1.383577518672690e02, -3.066479806614716e01, 2.506628277459239e00]
-    b = [-5.447609879822406e01, 1.615858368580409e02, -1.556989798598866e02,
-         6.680131188771972e01, -1.328068155288572e01]
-    c = [-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e00,
-         -2.549732539343734e00, 4.374664141464968e00, 2.938163982698783e00]
-    d = [7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e00,
-         3.754408661907416e00]
-    plow, phigh = 0.02425, 1 - 0.02425
-    if q < plow:
-        ql = np.sqrt(-2 * np.log(q))
-        return (((((c[0] * ql + c[1]) * ql + c[2]) * ql + c[3]) * ql + c[4]) * ql + c[5]) / (
-            (((d[0] * ql + d[1]) * ql + d[2]) * ql + d[3]) * ql + 1
-        )
-    if q <= phigh:
-        ql = q - 0.5
-        rr = ql * ql
-        return (((((a[0] * rr + a[1]) * rr + a[2]) * rr + a[3]) * rr + a[4]) * rr + a[5]) * ql / (
-            ((((b[0] * rr + b[1]) * rr + b[2]) * rr + b[3]) * rr + b[4]) * rr + 1
-        )
-    ql = np.sqrt(-2 * np.log(1 - q))
-    return -(((((c[0] * ql + c[1]) * ql + c[2]) * ql + c[3]) * ql + c[4]) * ql + c[5]) / (
-        (((d[0] * ql + d[1]) * ql + d[2]) * ql + d[3]) * ql + 1
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -11,6 +11,7 @@ candidates (derived-from conflicts, too-many-distinct dimensions).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 from repro.core.attributes import AnalyzedAttribute
 from repro.core.config import COUNT_STAR, SpadeConfig
@@ -36,22 +37,29 @@ class LatticeSpec:
     def n_aggregates(self) -> int:
         """Number of MDAs in this lattice: 2^N nodes x (aggregates per
         node: one per (measure, func) pair plus count(*))."""
-        per_node = 1 + sum(len(fs) for fs in self.funcs.values())
-        return (2 ** len(self.dims)) * per_node
+        return (2 ** len(self.dims)) * len(self.pairs)
+
+    @property
+    def pairs(self) -> list[tuple[str, str]]:
+        """The (measure, func) pairs of every node: count(*) first."""
+        return [(COUNT_STAR, "count")] + [
+            (m, f) for m in self.measures for f in self.funcs[m]
+        ]
+
+    def nodes(self) -> list[tuple[int, ...]]:
+        """All 2^N nodes as ascending dimension positions: the root
+        first, then by decreasing size, so every node comes after its
+        parents (the nodes with one more dimension)."""
+        n = len(self.dims)
+        return [pos for size in range(n, -1, -1) for pos in combinations(range(n), size)]
 
     def mda_keys(self) -> list[tuple[frozenset[str], str, str]]:
         """All (dim-name set, measure, func) triples of the lattice."""
-        from itertools import combinations
-
-        out = []
-        for size in range(len(self.dims), -1, -1):
-            for combo in combinations(self.dims, size):
-                node = frozenset(combo)
-                out.append((node, COUNT_STAR, "count"))
-                for m in self.measures:
-                    for f in self.funcs[m]:
-                        out.append((node, m, f))
-        return out
+        return [
+            (frozenset(self.dims[i] for i in pos), m, f)
+            for pos in self.nodes()
+            for m, f in self.pairs
+        ]
 
 
 def eligible_dimensions(

@@ -3,8 +3,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import pandas as pd
-
 from repro.core.config import COUNT_STAR
 
 
@@ -29,9 +27,3 @@ class MDAKey:
     def label(self) -> str:
         m = "count(*)" if self.measure == COUNT_STAR else f"{self.func}({self.measure})"
         return f"{self.cfs}: {m} by {', '.join(self.dims) or 'ALL'}"
-
-
-def mda_values(result: pd.DataFrame) -> pd.Series:
-    """The aggregated-value vector {t_1.v ... t_W.v} of an MDA result
-    (the input of the interestingness function h)."""
-    return result["value"]

@@ -43,7 +43,6 @@ from pyspark.sql import DataFrame
 
 from repro.core.config import COUNT_STAR
 from repro.core.enumeration import LatticeSpec
-from repro.core.lattice import Lattice
 from repro.core.mda import MDAKey
 from repro.core.preagg import PreAggregatedMeasures
 from repro.core.query import Query, with_ctes
@@ -61,8 +60,9 @@ def translate(
     to each dimension (position i becomes column ``d{i}``, its name the
     parameter ``:{prefix}{i}``), keeps facts with at least one dimension
     value, and dedupes — one row per (fact, cell). The union and the CFS
-    frames share a hash partitioning by subject, so the joins do not
-    shuffle.
+    frames share a hash partitioning by subject, but under adaptive
+    execution the planner does not see it, so each join shuffles both
+    sides.
     """
     n = len(dims)
     joins = "".join(
@@ -228,15 +228,12 @@ class MVDCubeEvaluator:
         for spec, root in zip(specs, roots):
             spec_nodes = []
             dedupe = False
-            for pos in Lattice(spec.dims).topological_order():
+            for pos in spec.nodes():
                 names = {i: spec.dims[i] for i in pos}
-                pairs = [(COUNT_STAR, "count")] + [
-                    (m, f) for m in spec.measures for f in spec.funcs[m]
-                ]
                 keys = {(m, f): MDAKey(self.cfs_name, tuple(names.values()), m, f)
-                        for m, f in pairs}
+                        for m, f in spec.pairs}
                 pairs = [
-                    p for p in pairs
+                    p for p in spec.pairs
                     if keys[p] not in self.results and keys[p] not in skip
                     and keys[p] not in planned
                 ]

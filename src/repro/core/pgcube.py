@@ -26,9 +26,7 @@ from dataclasses import dataclass
 import pandas as pd
 from pyspark.sql import DataFrame
 
-from repro.core.config import COUNT_STAR
 from repro.core.enumeration import LatticeSpec
-from repro.core.lattice import Lattice
 from repro.core.mda import MDAKey
 from repro.core.mvdcube import CubeNode, cube_query, split_mdas, translate
 from repro.core.preagg import PreAggregatedMeasures
@@ -52,12 +50,9 @@ class PGCubeEvaluator:
         grouping set (lattice node)."""
         if root is None:
             root = translate(self.cfs_df, self.union, spec.dims, "l0_")
-        pairs = [(COUNT_STAR, "count")] + [
-            (m, f) for m in spec.measures for f in spec.funcs[m]
-        ]
         nodes = [
-            CubeNode(i, {j: spec.dims[j] for j in pos}, pairs)
-            for i, pos in enumerate(Lattice(spec.dims).topological_order())
+            CubeNode(i, {j: spec.dims[j] for j in pos}, spec.pairs)
+            for i, pos in enumerate(spec.nodes())
         ]
         query = cube_query(
             [(root, len(spec.dims), nodes, False)],

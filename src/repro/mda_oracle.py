@@ -23,8 +23,6 @@ from __future__ import annotations
 
 import pandas as pd
 
-from repro.core.config import COUNT_STAR
-
 
 def mda_oracle_sql(
     *, n_dims: int, func: str, measure_is_star: bool = False, root_dims: int = 0
@@ -92,7 +90,3 @@ def oracle_tables(
     if meas_pdf is not None:
         tables["meas"] = meas_pdf
     return tables
-
-
-def is_star(measure: str) -> bool:
-    return measure == COUNT_STAR

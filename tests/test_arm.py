@@ -3,7 +3,7 @@ import pandas as pd
 import pytest
 
 from repro.core.arm import AggregateResultManager
-from repro.core.mda import MDAKey, mda_values
+from repro.core.mda import MDAKey
 
 
 def _key(i):
@@ -19,20 +19,6 @@ def test_add_and_len():
     arm = AggregateResultManager()
     arm.add(_key(1), _result([1.0, 2.0]))
     assert len(arm) == 1 and _key(1) in arm
-
-
-def test_incremental_stats():
-    arm = AggregateResultManager()
-    arm.add(_key(1), _result([3.0, 9.0, 1.0]))
-    sr = arm.get(_key(1))
-    assert sr.n_groups == 3 and sr.vmin == 1.0 and sr.vmax == 9.0
-
-
-def test_empty_result_stats():
-    arm = AggregateResultManager()
-    arm.add(_key(1), _result([]))
-    sr = arm.get(_key(1))
-    assert sr.n_groups == 0 and sr.vmin is None
 
 
 def test_scores_variance():
@@ -69,11 +55,6 @@ def test_add_all_and_keys():
     arm = AggregateResultManager()
     arm.add_all({_key(1): _result([1.0]), _key(2): _result([2.0])})
     assert arm.keys() == sorted([_key(1), _key(2)])
-
-
-def test_mda_values_helper():
-    res = _result([1.0, 2.0])
-    assert list(mda_values(res)) == [1.0, 2.0]
 
 
 def test_key_sorts_dims():

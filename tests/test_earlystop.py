@@ -2,18 +2,18 @@
 from itertools import combinations
 
 import numpy as np
+import pandas as pd
 import pytest
 
 from repro.core.attributes import Attribute
 from repro.core.config import COUNT_STAR, SpadeConfig
 from repro.core.derived import path_attribute
 from repro.core.earlystop import (
+    PRIO_COL,
     ESCandidate,
-    GroupSample,
     RootSample,
     _numeric_gradient,
     _variance_gradient,
-    _z_quantile,
     build_candidates,
     draw_root_samples,
     early_stop_prune,
@@ -29,14 +29,8 @@ from tests.helpers import union_of, with_table
 
 
 # ---------------------------------------------------------------------------
-# Normal quantile + gradients
+# Gradients
 # ---------------------------------------------------------------------------
-def test_z_quantile_known_values():
-    # z_p is the (p+1)/2 quantile of Phi (paper's notation).
-    assert _z_quantile(0.95) == pytest.approx(1.95996, abs=1e-3)
-    assert _z_quantile(0.90) == pytest.approx(1.64485, abs=1e-3)
-
-
 def test_variance_gradient_closed_form_matches_numeric():
     y = np.array([1.0, 4.0, 2.0, 7.0])
     num = _numeric_gradient(variance, y)
@@ -88,20 +82,24 @@ def fig1_sample(fig1_inputs):
     return sample, spec
 
 
+DIMS2 = ["d0", "d1"]
+
+
 def test_reservoir_merge_dedupes_by_cf(fig1_sample):
     sample, _ = fig1_sample
-    for rows in sample.cells.values():
-        facts = [cf for _, cf, _ in rows]
-        assert len(facts) == len(set(facts))  # facts dedupe by cf
+    assert not sample.rows.duplicated(DIMS2 + ["cf"]).any()  # facts dedupe by cf
 
 
 def test_reservoir_trims_to_capacity_lowest_priority(fig1_inputs):
     (full,) = _sample(fig1_inputs, [("company/area",)], capacity=10)
     (trimmed,) = _sample(fig1_inputs, [("company/area",)], capacity=1)
-    manufacturer = ("Manufacturer",)
-    assert len(full.cells[manufacturer]) == 2
-    assert trimmed.cells[manufacturer] == full.cells[manufacturer][:1]
-    assert trimmed.cell_counts[manufacturer] == 2  # exact count survives the trim
+    full_cell = full.rows[full.rows["d0"] == "Manufacturer"].reset_index(drop=True)
+    trimmed_cell = trimmed.rows[trimmed.rows["d0"] == "Manufacturer"]
+    assert len(full_cell) == 2
+    pd.testing.assert_frame_equal(
+        trimmed_cell.reset_index(drop=True), full_cell[:1], check_dtype=False
+    )
+    assert trimmed_cell["n"].tolist() == [2]  # exact count survives the trim
 
 
 def test_reservoir_merges_cells_independently(fig1_inputs):
@@ -109,27 +107,25 @@ def test_reservoir_merges_cells_independently(fig1_inputs):
     together = _sample(fig1_inputs, dim_sets, capacity=1)
     for dims, sample in zip(dim_sets, together):
         (alone,) = _sample(fig1_inputs, [dims], capacity=1)
-        assert sample.cells == alone.cells
-        assert sample.cell_counts == alone.cell_counts
+        pd.testing.assert_frame_equal(sample.rows, alone.rows, check_dtype=False)
 
 
 def test_sample_cell_counts_exact(fig1_sample):
     sample, _ = fig1_sample
     # 11 root cells, each holding exactly one fact.
-    assert sum(sample.cell_counts.values()) == 11
-    assert all(v == 1 for v in sample.cell_counts.values())
+    cells = sample.rows.drop_duplicates(DIMS2)
+    assert cells["n"].sum() == 11
+    assert (cells["n"] == 1).all()
 
 
 def test_sample_holds_all_facts_under_capacity(fig1_sample):
     sample, _ = fig1_sample
-    assert sum(len(rows) for rows in sample.cells.values()) == 11
+    assert len(sample.rows) == 11
 
 
 def test_sample_rows_carry_preaggregated_measures(fig1_sample):
     sample, _ = fig1_sample
-    for rows in sample.cells.values():
-        for _, cf, mvals in rows:
-            assert mvals["m0_sum"] in (2.8, 0.12)
+    assert sample.rows["m0_sum"].isin([2.8, 0.12]).all()
 
 
 def test_propagation_dedupes_facts_per_group(fig1_sample):
@@ -138,7 +134,7 @@ def test_propagation_dedupes_facts_per_group(fig1_sample):
     key = MDAKey("CEO", ("company/area",), COUNT_STAR, "count")
     cand = cands[key]
     # Manufacturer group: n1 + n2, each once despite multiple root cells.
-    sizes = sorted(cand.packed().lengths.tolist())
+    sizes = sorted(cand.lengths.tolist())
     assert sizes == [1, 1, 1, 2]
 
 
@@ -148,7 +144,7 @@ def test_propagation_size_estimates_overestimate(fig1_sample):
     sample, spec = fig1_sample
     cands = {c.key: c for c in build_candidates(sample, spec, capacity=10)}
     cand = cands[MDAKey("CEO", ("company/area",), COUNT_STAR, "count")]
-    manufacturer = max(cand.packed().sizes)
+    manufacturer = max(cand.sizes)
     assert manufacturer == 5  # 1 (n1) + 4 (n2's nationalities)
 
 
@@ -162,10 +158,9 @@ def test_candidates_cover_all_nodes_and_pairs(fig1_sample):
 
 def _groups(cand):
     """A candidate's groups as sorted (values, size estimate) pairs."""
-    p = cand.packed()
     return sorted(
-        (tuple(p.concat[s : s + n].tolist()), float(c))
-        for s, n, c in zip(p.starts, p.lengths, p.sizes)
+        (tuple(cand.values[s : s + n].tolist()), float(c))
+        for s, n, c in zip(cand.starts, cand.lengths, cand.sizes)
     )
 
 
@@ -183,16 +178,18 @@ def _loop_groups(sample, spec, capacity):
     """Reference propagation, one group at a time: per node, each fact
     once per group in priority order, at most ``capacity`` facts per
     group; the size estimate sums the group's root-cell counts."""
-    rows = sorted(
-        (prio, cf, mvals, cell)
-        for cell, cell_rows in sample.cells.items()
-        for prio, cf, mvals in cell_rows
-    )
+    n = len(spec.dims)
+    rows, cell_counts = [], {}
+    for rec in sample.rows.to_dict("records"):
+        cell = tuple(None if pd.isna(rec[f"d{i}"]) else rec[f"d{i}"] for i in range(n))
+        mvals = {c: v for c, v in rec.items() if c.startswith("m") and not pd.isna(v)}
+        rows.append((rec[PRIO_COL], rec["cf"], mvals, cell))
+        cell_counts[cell] = rec["n"]
+    rows.sort(key=lambda row: row[:2])
     pairs = [(-1, COUNT_STAR, "count")] + [
         (sample.measures.index(m), m, f) for m in spec.measures for f in spec.funcs[m]
     ]
     out = {}
-    n = len(spec.dims)
     for size in range(n, 0, -1):
         for pos in combinations(range(n), size):
             facts: dict[tuple, list] = {}
@@ -202,7 +199,7 @@ def _loop_groups(sample, spec, capacity):
                 if None not in g and cf not in [c for c, _ in seen] and len(seen) < capacity:
                     seen.append((cf, mvals))
             sizes = {g: 0 for g in facts}
-            for cell, count in sample.cell_counts.items():
+            for cell, count in cell_counts.items():
                 g = tuple(cell[i] for i in pos)
                 if g in sizes:
                     sizes[g] += count
@@ -228,8 +225,9 @@ def test_candidates_equal_loop_reference(fig1_inputs, fig1_sample, capacity):
 def test_group_keys_keep_dimension_tuples_apart():
     # Joined as text with a separator, these two cells would be one group.
     spec = LatticeSpec("c", dims=("x", "y"), measures=(), funcs={})
-    cells = {("a\x1fb", "c"): [(1, "f1", {})], ("a", "b\x1fc"): [(2, "f2", {})]}
-    sample = RootSample(2, (), cells, {cell: 3 for cell in cells})
+    rows = pd.DataFrame({"d0": ["a\x1fb", "a"], "d1": ["c", "b\x1fc"], "cf": ["f1", "f2"],
+                         PRIO_COL: [1, 2], "n": [3, 3]})
+    sample = RootSample((), rows)
     cands = {c.key: c for c in build_candidates(sample, spec, capacity=10)}
     cand = cands[MDAKey("c", ("x", "y"), COUNT_STAR, "count")]
     assert _groups(cand) == [((1.0,), 3.0), ((1.0,), 3.0)]
@@ -239,12 +237,26 @@ def test_group_keys_keep_dimension_tuples_apart():
 # Estimation: point estimates and CI behavior
 # ---------------------------------------------------------------------------
 def _cand(groups, func="avg", measure="m", bounds=None):
+    """A candidate from its groups' (sampled values, size estimate)."""
+    lengths = np.array([len(v) for v, _ in groups], dtype=np.int64)
     return ESCandidate(
         MDAKey("c", ("d",), measure, func),
         func,
-        [GroupSample(np.asarray(v, dtype=np.float64), c) for v, c in groups],
+        np.concatenate([np.asarray(v, dtype=np.float64) for v, _ in groups]),
+        np.cumsum(lengths) - lengths,
+        lengths,
+        np.array([c for _, c in groups], dtype=np.float64),
         bounds,
     )
+
+
+def test_ci_half_width_is_normal_quantile_times_tau():
+    # Group means 2 and 7 with sample variances 2 and 8 at r = 2:
+    # Var(Ȳ) = (1, 4), ∂Ĥ/∂y = 2 (y - ȳ) = (-5, 5), so τ̂² = 125.
+    cand = _cand([([1.0, 3.0], 2), ([5.0, 9.0], 2)])
+    est = estimate_interestingness(cand, r=2, h_name="variance", alpha=0.05)
+    assert est.score == pytest.approx(12.5)
+    assert est.upper - est.score == pytest.approx(1.959964 * np.sqrt(125.0), rel=1e-6)
 
 
 def test_full_sample_avg_estimate_exact():
@@ -332,20 +344,16 @@ def test_ci_coverage_statistical():
 # Pruning loop
 # ---------------------------------------------------------------------------
 def _uniform_cand(i, value=1.0):
-    return ESCandidate(
-        MDAKey("c", ("d",), f"u{i}", "avg"),
-        "avg",
-        [GroupSample(np.full(30, value), 30) for _ in range(4)],
-    )
+    return _cand([(np.full(30, value), 30) for _ in range(4)], measure=f"u{i}")
 
 
 def _spiky_cand(i, spread):
     rng = np.random.default_rng(i)
     groups = [
-        GroupSample(rng.normal(loc, 0.1, 30), 30)
+        (rng.normal(loc, 0.1, 30), 30)
         for loc in (0.0, spread, 2 * spread, 0.5)
     ]
-    return ESCandidate(MDAKey("c", ("d",), f"s{i}", "avg"), "avg", groups)
+    return _cand(groups, measure=f"s{i}")
 
 
 def test_prune_uniform_keeps_interesting():

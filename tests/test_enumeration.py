@@ -183,6 +183,33 @@ def test_mda_keys_cover_all_nodes():
     assert (frozenset({"a"}), COUNT_STAR, "count") in keys
 
 
+@pytest.fixture(scope="module")
+def lat3():
+    # The Example 3 lattice: nationality, company/area, gender.
+    return LatticeSpec("CEO", ("nationality", "company/area", "gender"), (), {})
+
+
+def test_lattice_node_count(lat3):
+    assert len(set(lat3.nodes())) == 8  # 2^3
+
+
+def test_lattice_nodes_parents_first(lat3):
+    order = lat3.nodes()
+    pos = {frozenset(d): i for i, d in enumerate(order)}
+    for dims in map(frozenset, order):
+        for parent in (dims | {d} for d in range(3) if d not in dims):
+            assert pos[parent] < pos[dims]
+
+
+def test_lattice_names_by_position(lat3):
+    assert (frozenset({"nationality", "gender"}), COUNT_STAR, "count") in lat3.mda_keys()
+    assert (0, 2) in lat3.nodes()
+
+
+def test_single_dim_lattice_nodes():
+    assert LatticeSpec("c", ("d",), (), {}).nodes() == [(0,), ()]
+
+
 def test_count_distinct_mdas_dedupes_shared_nodes():
     s1 = LatticeSpec("c", ("a", "b"), (), {})
     s2 = LatticeSpec("c", ("a",), (), {})

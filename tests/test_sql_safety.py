@@ -12,7 +12,6 @@ import pytest
 from repro.core.attributes import Attribute, analyze_attributes
 from repro.core.config import COUNT_STAR
 from repro.core.enumeration import LatticeSpec
-from repro.core.lattice import Lattice
 from repro.core.mda import MDAKey
 from repro.core.mvdcube import MVDCubeEvaluator
 from repro.core.pgcube import PGCubeEvaluator
@@ -66,9 +65,7 @@ def hostile(spark):
     store.unpersist()
 
 
-NODES = [
-    tuple(sorted(Lattice(DIMS).names(pos))) for pos in Lattice(DIMS).topological_order()
-]
+NODES = [tuple(sorted(DIMS[i] for i in pos)) for pos in LatticeSpec("F", DIMS, (), {}).nodes()]
 
 
 @pytest.mark.parametrize("dims", NODES, ids=lambda d: "+".join(d) or "apex")
