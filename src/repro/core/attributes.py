@@ -23,7 +23,12 @@ from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
 from repro.core.query import Query, with_ctes
-from repro.rdf.triples import RDF_TYPE, TripleStore, shuffle_partitions
+from repro.rdf.triples import (
+    RDF_TYPE,
+    TripleStore,
+    partitioned_by_subject,
+    shuffle_partitions,
+)
 
 
 @dataclass(frozen=True)
@@ -175,18 +180,17 @@ def attribute_union(direct: DataFrame, derivations: list[Query]) -> DataFrame:
     (the analog of the attribute tables stored in the DB): one
     ``UNION ALL`` of the direct part and the derivation fragments.
 
-    Hash-partitioned by subject like the CFS frames, into an explicit
-    partition count, which adaptive execution does not coalesce. With
-    adaptive execution on, though, the checkpoint's scan reports no
-    partitioning to the planner, so a statement's CFS-union join still
-    shuffles both sides. A local checkpoint, not a cache: its plan is
-    one scan, which the statements of a request, reading the union
-    several times, do not re-optimize at each read.
+    Hash-partitioned by subject like the CFS frames, and its scan
+    reports that partitioning (``partitioned_by_subject``), so a
+    statement's CFS-union join shuffles neither side. A local
+    checkpoint, not a cache: its plan is one scan, which the statements
+    of a request, reading the union several times, do not re-optimize
+    at each read.
     """
     parts = [Query("SELECT a, s, o FROM {direct}", frames={"direct": direct})]
     ctes = [(f"part{i}", q) for i, q in enumerate(parts + derivations)]
     rows = with_ctes(ctes, " UNION ALL ".join(f"SELECT * FROM {n}" for n, _ in ctes))
-    return rows.run().repartition(shuffle_partitions(direct), "s").localCheckpoint()
+    return partitioned_by_subject(rows.run())
 
 
 #: Per fact ``s`` of CFS ``k``: its attribute set and the subset it has

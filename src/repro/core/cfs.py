@@ -45,7 +45,7 @@ def _by_size(cfss: list[CandidateFactSet]) -> list[CandidateFactSet]:
 
 def graph_cfss(summary: StructuralSummary) -> list[CandidateFactSet]:
     """The type- and summary-based CFSs of a graph (load time): filters
-    over the summary's cached per-node frame, sized by the summary's
+    over the summary's checkpointed per-node frame, sized by the summary's
     one job."""
     out = [
         CandidateFactSet(f"type:{t}", summary.members_of_type(t), n, "type")

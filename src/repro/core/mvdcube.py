@@ -60,9 +60,8 @@ def translate(
     to each dimension (position i becomes column ``d{i}``, its name the
     parameter ``:{prefix}{i}``), keeps facts with at least one dimension
     value, and dedupes — one row per (fact, cell). The union and the CFS
-    frames share a hash partitioning by subject, but under adaptive
-    execution the planner does not see it, so each join shuffles both
-    sides.
+    frames share a hash partitioning by subject that the planner sees,
+    so no join shuffles either side.
     """
     n = len(dims)
     joins = "".join(
@@ -130,7 +129,11 @@ def cube_query(
             + ")"
             for node in nodes
         )
-        part = f"SELECT cf, inline(array({structs})) FROM r{li}"
+        # "cf AS cf": a union keeps its inputs' partitioning by fact only
+        # if they match attribute for attribute, qualifiers included; the
+        # alias drops the CTE's qualifier, so the join with the
+        # pre-aggregates below shuffles neither side.
+        part = f"SELECT cf AS cf, inline(array({structs})) FROM r{li}"
         cells.append(f"SELECT DISTINCT * FROM ({part})" if dedupe else part)
     pairs = sorted({p for _, _, nodes, _ in lattices for node in nodes for p in node.pairs})
     star = "count(DISTINCT cf)" if distinct_count else "count(cf)"

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from pyspark.sql import DataFrame
 from pyspark.sql import functions as F
 
-from repro.rdf.triples import RDF_TYPE, TripleStore
+from repro.rdf.triples import RDF_TYPE, TripleStore, partitioned_by_subject
 
 _SEP = "\x1f"  # joins a node's sorted property names into its class key
 
@@ -42,22 +42,20 @@ class StructuralSummary:
         #: One row per node of the graph: (s, cs, types). cs is the
         #: sorted concatenation of the outgoing properties ("" for a node
         #: with rdf:type triples only, which is in no class).
-        #: Hash-partitioned by subject, like every frame of facts cached
-        #: at load.
+        #: A local checkpoint hash-partitioned by subject, like the
+        #: attribute union, so the CFS frames filtered from it join the
+        #: union without a shuffle.
         is_type = F.col("p") == RDF_TYPE
-        self.nodes = (
-            store.triples.groupBy("s")
-            .agg(
+        self.nodes = partitioned_by_subject(
+            store.triples.groupBy("s").agg(
                 F.concat_ws(
                     _SEP, F.sort_array(F.collect_set(F.when(~is_type, F.col("p"))))
                 ).alias("cs"),
                 F.sort_array(F.collect_set(F.when(is_type, F.col("o")))).alias("types"),
             )
-            .cache()
         )
         # One job counts the nodes per (class, type set), which sizes both
-        # the classes and the types; it also materializes the cached
-        # frame, so the CFSs (filters over it) are ready.
+        # the classes and the types.
         class_sizes: dict[str, int] = {}
         #: Number of nodes of each rdf:type.
         self.type_sizes: dict[str, int] = {}
@@ -96,4 +94,5 @@ class StructuralSummary:
         return frozenset(out)
 
     def unpersist(self) -> None:
-        self.nodes.unpersist()
+        """Release the node frame's checkpoint."""
+        self.nodes._jdf.queryExecution().logical().rdd().unpersist(False)

@@ -45,10 +45,38 @@ def triples_from_rows(spark: SparkSession, rows: list[tuple[str, str, str]]) -> 
 
 def shuffle_partitions(df: DataFrame) -> int:
     """The session's shuffle partition count: the frames of facts (the
-    attribute union, the CFS frames) are hash-partitioned by subject
-    into that many, an explicit count that adaptive execution does not
-    coalesce."""
+    attribute union, the summary's node frame, the CFS frames) are
+    hash-partitioned by subject into that many, an explicit count that
+    adaptive execution does not coalesce."""
     return int(df.sparkSession.conf.get("spark.sql.shuffle.partitions"))
+
+
+def partitioned_by_subject(df: DataFrame) -> DataFrame:
+    """``df`` hash-partitioned by ``s`` into its session's shuffle
+    partition count and held as a local checkpoint whose scan reports
+    that partitioning, so joins and aggregates on the subject in that
+    session shuffle neither it nor a frame partitioned alike.
+
+    A checkpoint taken under adaptive execution reports no partitioning
+    (the final plan is only known once it has run), so it is taken in a
+    sibling session with adaptive execution off, and the caller's
+    session settings are left alone. The plans cross sessions as
+    analyzed plans, so the caller's frame scans the bare checkpoint,
+    which the planner re-instances with its partitioning (every join of
+    two frames carrying the triples' ``s`` re-instances one side).
+    """
+    spark = df.sparkSession
+    sibling = spark.newSession()
+    sibling.conf.set("spark.sql.adaptive.enabled", "false")
+    held = _in_session(df, sibling).repartition(shuffle_partitions(df), "s")
+    return _in_session(held.localCheckpoint(), spark)
+
+
+def _in_session(df: DataFrame, session: SparkSession) -> DataFrame:
+    """``df``'s analyzed plan as a frame of ``session``."""
+    plan = df._jdf.queryExecution().analyzed()
+    datasets = session._jvm.org.apache.spark.sql.classic.Dataset
+    return DataFrame(datasets.ofRows(session._jsparkSession, plan), session)
 
 
 class TripleStore:
@@ -68,25 +96,6 @@ class TripleStore:
     def num_triples(self) -> int:
         """Total number of triples in the graph."""
         return self.triples.count()
-
-    # -- slices -------------------------------------------------------------
-    def property_table(self, prop: str) -> DataFrame:
-        """The (s, o) table of one property — the paper's ``t_a``."""
-        return (
-            self.triples.filter(F.col("p") == prop)
-            .select("s", "o")
-            .distinct()
-        )
-
-    def nodes_of_type(self, rdf_type: str) -> DataFrame:
-        """Single-column frame ``cf`` of all subjects with the given type."""
-        return (
-            self.triples.filter(
-                (F.col("p") == RDF_TYPE) & (F.col("o") == rdf_type)
-            )
-            .select(F.col("s").alias("cf"))
-            .distinct()
-        )
 
     def subjects_with_properties(self, props: list[str]) -> DataFrame:
         """Subjects having *all* the given outgoing properties, as a

@@ -15,7 +15,7 @@ from repro.core.config import COUNT_STAR, SpadeConfig
 from repro.core.derived import derivations
 from repro.mda_oracle import mda_oracle_sql, oracle_tables, positional
 from repro.oracle import assert_equivalent
-from repro.rdf.triples import TripleStore, triples_from_rows
+from repro.rdf.triples import RDF_TYPE, TripleStore, triples_from_rows
 
 #: Triples of the paper's running example (Figure 1 / Figure 4):
 #: n1 = Isabel dos Santos, n2 = Carlos Ghosn.
@@ -49,6 +49,20 @@ FIGURE1_ROWS = [
 def figure1_store(spark: SparkSession) -> TripleStore:
     """The paper's Figure 1 running-example graph."""
     return TripleStore(triples_from_rows(spark, FIGURE1_ROWS), name="figure1")
+
+
+def property_table(store: TripleStore, prop: str) -> DataFrame:
+    """The (s, o) table of one property — the paper's ``t_a``."""
+    return store.triples.where(F.col("p") == prop).select("s", "o").distinct()
+
+
+def nodes_of_type(store: TripleStore, rdf_type: str) -> DataFrame:
+    """Single-column frame ``cf`` of all subjects with the given type."""
+    return (
+        store.triples.where((F.col("p") == RDF_TYPE) & (F.col("o") == rdf_type))
+        .select(F.col("s").alias("cf"))
+        .distinct()
+    )
 
 
 def with_table(store: TripleStore, attribute):

@@ -10,7 +10,7 @@ from repro.core.attributes import (
 )
 from repro.rdf.summary import StructuralSummary
 from repro.rdf.triples import TripleStore, triples_from_rows
-from tests.helpers import union_of
+from tests.helpers import nodes_of_type, property_table, union_of
 
 
 @pytest.fixture(scope="module")
@@ -83,27 +83,27 @@ def test_rdf_type_not_analyzed(offline):
 
 def _attrs(store):
     return [
-        Attribute("num", store.property_table("num"), "direct"),
-        Attribute("cat", store.property_table("cat"), "direct"),
+        Attribute("num", property_table(store, "num"), "direct"),
+        Attribute("cat", property_table(store, "cat"), "direct"),
     ]
 
 
 def test_online_restricted_to_cfs(spark, store):
-    cfs = store.nodes_of_type("T")  # a, b — excludes c
+    cfs = nodes_of_type(store, "T")  # a, b — excludes c
     [(stats, _)] = analyze_attributes([cfs], _attrs(store), union_of(_attrs(store)))
     assert stats["cat"].support == 2
     assert stats["cat"].n_distinct == 2  # z belongs to c only
 
 
 def test_online_zero_stats_for_absent_attribute(spark, store):
-    cfs = store.nodes_of_type("T")
-    attrs = _attrs(store) + [Attribute("nope", store.property_table("nope"), "direct")]
+    cfs = nodes_of_type(store, "T")
+    attrs = _attrs(store) + [Attribute("nope", property_table(store, "nope"), "direct")]
     [(stats, _)] = analyze_attributes([cfs], attrs, union_of(attrs))
     assert stats["nope"].support == 0
 
 
 def test_online_with_prebuilt_union(spark, store):
-    cfs = store.nodes_of_type("T")
+    cfs = nodes_of_type(store, "T")
     attrs = _attrs(store)
     union = union_of(attrs).cache()
     [(stats, _)] = analyze_attributes([cfs], attrs, union)

@@ -25,7 +25,7 @@ from repro.core.mda import MDAKey
 from repro.core.mvdcube import translate
 from repro.core.preagg import preaggregate
 from repro.core.interestingness import variance
-from tests.helpers import union_of, with_table
+from tests.helpers import nodes_of_type, property_table, union_of, with_table
 
 
 # ---------------------------------------------------------------------------
@@ -49,13 +49,13 @@ def test_moment_gradients_finite_when_variance_underflows(h_name):
 # ---------------------------------------------------------------------------
 @pytest.fixture(scope="module")
 def fig1_inputs(spark, fig1):
-    cfs = fig1.nodes_of_type("CEO")
+    cfs = nodes_of_type(fig1, "CEO")
     attrs = {
         "nationality": Attribute(
-            "nationality", fig1.property_table("nationality"), "direct"
+            "nationality", property_table(fig1, "nationality"), "direct"
         ),
         "company/area": with_table(fig1, path_attribute("company", "area")),
-        "netWorth": Attribute("netWorth", fig1.property_table("netWorth"), "direct"),
+        "netWorth": Attribute("netWorth", property_table(fig1, "netWorth"), "direct"),
     }
     union = union_of(list(attrs.values()))
     return cfs, union, preaggregate(union, ["netWorth"])

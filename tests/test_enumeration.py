@@ -18,7 +18,7 @@ from repro.core.enumeration import (
     enumerate_lattices,
 )
 from repro.rdf.triples import TripleStore, triples_from_rows
-from tests.helpers import union_of
+from tests.helpers import nodes_of_type, property_table, union_of
 
 
 def _aa(name, *, support=100, n_distinct=5, numeric=False, kind="direct",
@@ -79,11 +79,11 @@ def enum_store(spark):
 @pytest.fixture(scope="module")
 def enum_attrs(enum_store):
     attrs = [
-        Attribute(n, enum_store.property_table(n), "direct")
+        Attribute(n, property_table(enum_store, n), "direct")
         for n in ("d1", "d2", "d3", "m")
     ]
     [(stats, patterns)] = analyze_attributes(
-        [enum_store.nodes_of_type("T")], attrs, union_of(attrs)
+        [nodes_of_type(enum_store, "T")], attrs, union_of(attrs)
     )
     return patterns, analyzed(attrs, stats)
 
@@ -147,18 +147,18 @@ def test_conflict_resolution_derived_dim():
 
 def test_measure_conflicting_with_dim_excluded(enum_store):
     # count(d1) cannot measure a lattice whose dimension is d1.
-    cfs = enum_store.nodes_of_type("T")
+    cfs = nodes_of_type(enum_store, "T")
     attrs = [
-        Attribute("d1", enum_store.property_table("d1"), "direct"),
-        Attribute("d2", enum_store.property_table("d2"), "direct"),
+        Attribute("d1", property_table(enum_store, "d1"), "direct"),
+        Attribute("d2", property_table(enum_store, "d2"), "direct"),
         Attribute(
             "count(d1)",
-            enum_store.property_table("d1").groupBy("s").count()
+            property_table(enum_store, "d1").groupBy("s").count()
             .selectExpr("s", "cast(count as string) as o"),
             "count",
             frozenset({"d1"}),
         ),
-        Attribute("m", enum_store.property_table("m"), "direct"),
+        Attribute("m", property_table(enum_store, "m"), "direct"),
     ]
     [(stats, patterns)] = analyze_attributes([cfs], attrs, union_of(attrs))
     specs = enumerate_lattices("T", 40, analyzed(attrs, stats), patterns, SpadeConfig())

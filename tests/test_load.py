@@ -5,7 +5,8 @@ The load builds every attribute table of a graph as one tagged union
 rows, the attribute tables sliced from it and the offline statistics
 are checked against pandas over the triples; its Spark cost must not
 grow with the attribute count, and it must leave no cached frame but
-the triples, the summary's node frame and the union.
+the triples, the summary's node frame and the union. The load leaves
+the caller's session settings as they were.
 """
 import re
 
@@ -217,3 +218,30 @@ def test_load_caches_only_triples_summary_and_union(spark):
     store.unpersist()
     offline.summary.unpersist()
     assert _persisted(sc) - before == {union_rdd}
+
+
+def _partitioning(df) -> str:
+    return df._jdf.queryExecution().executedPlan().outputPartitioning().toString()
+
+
+@pytest.mark.parametrize("adaptive", ["true", "false"])
+def test_load_leaves_session_settings(spark, adaptive):
+    # The checkpoints report their subject partitioning, into the
+    # caller's partition count, with adaptive execution on or off.
+    conf = spark.conf
+    keys = ("spark.sql.adaptive.enabled", "spark.sql.shuffle.partitions")
+    before = [conf.get(k) for k in keys]
+    conf.set("spark.sql.adaptive.enabled", adaptive)
+    conf.set("spark.sql.shuffle.partitions", "3")
+    store = _graph(spark, 0)
+    try:
+        offline = spade.offline_phase(store, SpadeConfig())
+        assert [conf.get(k) for k in keys] == [adaptive, "3"]
+        for frame in (offline.attr_union, offline.summary.nodes):
+            assert re.fullmatch(r"hashpartitioning\(s#\d+, 3\)", _partitioning(frame))
+            assert frame.rdd.getNumPartitions() == 3
+        offline.summary.unpersist()
+    finally:
+        store.unpersist()
+        for k, v in zip(keys, before):
+            conf.set(k, v)

@@ -23,6 +23,8 @@ from repro.datagen.schema import GraphSpec, NodeClassSpec, PropertySpec
 from tests.helpers import (
     assert_mda_matches_oracle,
     group_value,
+    nodes_of_type,
+    property_table,
     union_of,
     with_table,
 )
@@ -35,18 +37,18 @@ FUNCS = ("count", "sum", "avg", "min", "max")
 # ---------------------------------------------------------------------------
 @pytest.fixture(scope="module")
 def fig1_eval(spark, fig1):
-    cfs = fig1.nodes_of_type("CEO")
+    cfs = nodes_of_type(fig1, "CEO")
     attrs = {
         "nationality": Attribute(
-            "nationality", fig1.property_table("nationality"), "direct"
+            "nationality", property_table(fig1, "nationality"), "direct"
         ),
-        "gender": Attribute("gender", fig1.property_table("gender"), "direct"),
+        "gender": Attribute("gender", property_table(fig1, "gender"), "direct"),
         "company/area": with_table(fig1, path_attribute("company", "area")),
         "countryOfOrigin": Attribute(
-            "countryOfOrigin", fig1.property_table("countryOfOrigin"), "direct"
+            "countryOfOrigin", property_table(fig1, "countryOfOrigin"), "direct"
         ),
-        "netWorth": Attribute("netWorth", fig1.property_table("netWorth"), "direct"),
-        "age": Attribute("age", fig1.property_table("age"), "direct"),
+        "netWorth": Attribute("netWorth", property_table(fig1, "netWorth"), "direct"),
+        "age": Attribute("age", property_table(fig1, "age"), "direct"),
     }
     union = union_of(list(attrs.values()))
     preagg = preaggregate(union, ["netWorth", "age"])
@@ -207,9 +209,9 @@ PAIRS = [(COUNT_STAR, "count")] + [(m, f) for m in ("score", "weight") for f in 
 @pytest.fixture(scope="module")
 def mv(spark):
     store = generate(spark, MV_SPEC)
-    cfs = store.nodes_of_type("F")
+    cfs = nodes_of_type(store, "F")
     attrs = {
-        name: Attribute(name, store.property_table(name), "direct")
+        name: Attribute(name, property_table(store, name), "direct")
         for name in ("color", "size", "score", "weight")
     }
     union = union_of(list(attrs.values()))

@@ -124,19 +124,19 @@ def test_patterns_project_to_transactions(
     assert projected >= 2
 
 
-def _jobs(spark, group, fn):
+def _jobs(spark, group, fn, adaptive="false"):
     """fn's result and the Spark jobs it ran. Adaptive execution is off
-    while it runs: it submits one more job per shuffle stage, and
-    without it each action is one job."""
+    while it runs unless asked for: it submits one more job per shuffle
+    stage, and without it each action is one job."""
     sc = spark.sparkContext
-    adaptive = spark.conf.get("spark.sql.adaptive.enabled")
-    spark.conf.set("spark.sql.adaptive.enabled", "false")
+    before = spark.conf.get("spark.sql.adaptive.enabled")
+    spark.conf.set("spark.sql.adaptive.enabled", adaptive)
     sc.setJobGroup(group, group)
     try:
         out = fn()
     finally:
         sc._jsc.clearJobGroup()
-        spark.conf.set("spark.sql.adaptive.enabled", adaptive)
+        spark.conf.set("spark.sql.adaptive.enabled", before)
     return out, len(sc.statusTracker().getJobIdsForGroup(group))
 
 
@@ -183,6 +183,21 @@ def test_request_spark_jobs(spark, ceos_offline, test_config):
         lambda: spade.run_online(spark, ceos_offline, config, early_stop=True, k=3),
     )
     assert exact_jobs < es_jobs <= exact_jobs + 2
+    # Adaptive execution runs each shuffle stage of a statement as a job
+    # of its own. The only shuffles left are the GROUP BYs on other keys
+    # than the subject: two in the analysis, one in the evaluation, the
+    # sampling window's one.
+    _, exact_jobs = _jobs(
+        spark, "test-exact-aqe",
+        lambda: spade.run_online(spark, ceos_offline, config, k=3), "true",
+    )
+    assert exact_jobs == (1 + 2) + (1 + 1)
+    _, es_jobs = _jobs(
+        spark, "test-es-aqe",
+        lambda: spade.run_online(spark, ceos_offline, config, early_stop=True, k=3),
+        "true",
+    )
+    assert es_jobs == exact_jobs + (1 + 1)
 
 
 def _persisted(sc) -> set[int]:

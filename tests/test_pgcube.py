@@ -16,6 +16,8 @@ from repro.datagen.schema import GraphSpec, NodeClassSpec, PropertySpec
 from tests.helpers import (
     assert_mda_matches_oracle,
     group_value,
+    nodes_of_type,
+    property_table,
     union_of,
     with_table,
 )
@@ -25,15 +27,15 @@ FUNCS = ("count", "sum", "avg", "min", "max")
 
 @pytest.fixture(scope="module")
 def fig1_pg(spark, fig1):
-    cfs = fig1.nodes_of_type("CEO")
+    cfs = nodes_of_type(fig1, "CEO")
     attrs = {
         "nationality": Attribute(
-            "nationality", fig1.property_table("nationality"), "direct"
+            "nationality", property_table(fig1, "nationality"), "direct"
         ),
-        "gender": Attribute("gender", fig1.property_table("gender"), "direct"),
+        "gender": Attribute("gender", property_table(fig1, "gender"), "direct"),
         "company/area": with_table(fig1, path_attribute("company", "area")),
-        "netWorth": Attribute("netWorth", fig1.property_table("netWorth"), "direct"),
-        "age": Attribute("age", fig1.property_table("age"), "direct"),
+        "netWorth": Attribute("netWorth", property_table(fig1, "netWorth"), "direct"),
+        "age": Attribute("age", property_table(fig1, "age"), "direct"),
     }
     union = union_of(list(attrs.values()))
     preagg = preaggregate(union, ["netWorth", "age"])
@@ -149,9 +151,9 @@ SV_SPEC = GraphSpec(
 @pytest.fixture(scope="module")
 def sv(spark):
     store = generate(spark, SV_SPEC)
-    cfs = store.nodes_of_type("F")
+    cfs = nodes_of_type(store, "F")
     attrs = {
-        n: Attribute(n, store.property_table(n), "direct")
+        n: Attribute(n, property_table(store, n), "direct")
         for n in ("color", "size", "score")
     }
     union = union_of(list(attrs.values()))

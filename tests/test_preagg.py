@@ -6,7 +6,7 @@ import pytest
 from repro.core.attributes import Attribute
 from repro.core.preagg import preaggregate
 from repro.rdf.triples import TripleStore, triples_from_rows
-from tests.helpers import union_of
+from tests.helpers import property_table, union_of
 
 
 @pytest.fixture(scope="module")
@@ -20,8 +20,8 @@ def preagg(spark):
     ]
     store = TripleStore(triples_from_rows(spark, rows))
     attrs = [
-        Attribute("m", store.property_table("m"), "direct"),
-        Attribute("w", store.property_table("w"), "direct"),
+        Attribute("m", property_table(store, "m"), "direct"),
+        Attribute("w", property_table(store, "w"), "direct"),
     ]
     pa = preaggregate(union_of(attrs), ["m", "w"])
     rows_by_cf = {r["cf"]: r.asDict() for r in pa.query.run().collect()}

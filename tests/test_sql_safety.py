@@ -17,7 +17,12 @@ from repro.core.mvdcube import MVDCubeEvaluator
 from repro.core.pgcube import PGCubeEvaluator
 from repro.core.preagg import preaggregate
 from repro.rdf.triples import TripleStore, triples_from_rows
-from tests.helpers import assert_mda_matches_oracle, union_of
+from tests.helpers import (
+    assert_mda_matches_oracle,
+    nodes_of_type,
+    property_table,
+    union_of,
+)
 
 DIMS = ("o'reilly", 'a"b', "x`y")
 MEASURES = ("{z}", ":m0", "back\\slash")
@@ -46,8 +51,8 @@ def _rows():
 @pytest.fixture(scope="module")
 def hostile(spark):
     store = TripleStore(triples_from_rows(spark, _rows()))
-    cfs = store.nodes_of_type("F")
-    attrs = {n: Attribute(n, store.property_table(n), "direct") for n in DIMS + MEASURES}
+    cfs = nodes_of_type(store, "F")
+    attrs = {n: Attribute(n, property_table(store, n), "direct") for n in DIMS + MEASURES}
     union = union_of(list(attrs.values()))
     preagg = preaggregate(union, list(MEASURES))
     spec = LatticeSpec(

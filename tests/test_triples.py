@@ -31,29 +31,6 @@ def test_num_triples(tiny):
     assert tiny.num_triples() == 8
 
 
-def test_property_table_contents(tiny):
-    rows = {(r["s"], r["o"]) for r in tiny.property_table("p1").collect()}
-    assert rows == {("a", "x"), ("a", "y")}
-
-
-def test_property_table_distinct(spark):
-    # Duplicate triples collapse in the (s, o) slice.
-    store = TripleStore(
-        triples_from_rows(spark, [("a", "p", "x"), ("a", "p", "x")])
-    )
-    assert store.property_table("p").count() == 1
-    store.unpersist()
-
-
-def test_nodes_of_type(tiny):
-    assert {r["cf"] for r in tiny.nodes_of_type("T1").collect()} == {"a", "b"}
-    assert {r["cf"] for r in tiny.nodes_of_type("T2").collect()} == {"b"}
-
-
-def test_nodes_of_missing_type_empty(tiny):
-    assert tiny.nodes_of_type("nope").count() == 0
-
-
 def test_subjects_with_properties_single(tiny):
     assert {r["cf"] for r in tiny.subjects_with_properties(["p2"]).collect()} == {
         "a",
