@@ -9,10 +9,10 @@ Three strategies, as in the paper:
 
 Type- and summary-based CFSs are facts of the graph: ``graph_cfss``
 builds them once per loaded graph from the structural summary, whose
-one Spark job sizes both its classes and the rdf:types. A request then
-only filters and caps that list (``select_cfss``, ``analyzable``)
-without a Spark job; only the user-given property-based CFSs are
-computed per request.
+one Spark job sizes its classes, the rdf:types and any property set. A
+request then filters and caps that list and adds the user-given
+property-based CFSs, filtered from the same summary (``select_cfss``,
+``analyzable``), without a Spark job.
 """
 from __future__ import annotations
 
@@ -22,7 +22,6 @@ from pyspark.sql import DataFrame
 
 from repro.core.config import SpadeConfig
 from repro.rdf.summary import StructuralSummary
-from repro.rdf.triples import TripleStore
 
 
 @dataclass(frozen=True)
@@ -61,7 +60,7 @@ def graph_cfss(summary: StructuralSummary) -> list[CandidateFactSet]:
 
 
 def select_cfss(
-    store: TripleStore,
+    summary: StructuralSummary,
     cfss: list[CandidateFactSet],
     config: SpadeConfig,
 ) -> list[CandidateFactSet]:
@@ -69,17 +68,15 @@ def select_cfss(
 
     ``cfss`` is the graph's list from ``graph_cfss``; summary classes
     below ``config.min_cfs_size`` are dropped. Property-based CFSs
-    (``config.property_cfss``) are the only ones that cost Spark jobs
-    here, one each to size it; their frames are not cached (the cached
-    triples rebuild them), so a request leaves no cached frame behind.
-    Returned sorted by decreasing size (ties by name).
+    (``config.property_cfss``) are filters over the summary's node
+    frame, like the others, sized by its counts: selection runs no
+    Spark job and caches nothing. Returned sorted by decreasing size
+    (ties by name).
     """
     out = [c for c in cfss if c.source != "summary" or c.size >= config.min_cfs_size]
     for props in config.property_cfss:
-        df = store.subjects_with_properties(list(props))
-        out.append(
-            CandidateFactSet("props:" + "+".join(props), df, df.count(), "property")
-        )
+        df, size = summary.members_having(props)
+        out.append(CandidateFactSet("props:" + "+".join(props), df, size, "property"))
     return _by_size(out)
 
 

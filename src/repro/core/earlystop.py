@@ -60,7 +60,7 @@ class RootSample:
 
 def draw_root_samples(
     roots: list[tuple[Query, int]],
-    preagg: PreAggregatedMeasures,
+    preagg: PreAggregatedMeasures | None,
     *,
     capacity: int,
     seed: int,
@@ -68,28 +68,29 @@ def draw_root_samples(
     """One statement sampling *several* lattice roots at once.
 
     ``roots`` lists (root fragment, n_dims) per lattice; each root is
-    joined with the pre-aggregates and tagged with its lattice (dim
-    columns padded to the widest lattice), and a window over each
-    (lattice, cell) keeps the ``capacity`` facts of lowest priority
-    ``xxhash64(seed, cf, cell)`` — a bottom-k sketch, equivalent to
+    joined with the pre-aggregates (if its CFS has any) and tagged with
+    its lattice (dim columns padded to the widest lattice), and a window
+    over each (lattice, cell) keeps the ``capacity`` facts of lowest
+    priority ``xxhash64(seed, cf, cell)`` — a bottom-k sketch, equivalent to
     reservoir sampling [44] — plus the cell's exact size. All
     reservoirs of a CFS fill in one Spark action, but it is an action
     of its own: the evaluation statement translates the roots again.
     """
     assert roots
     max_n = max(n for _, n in roots)
-    mcols = [c for m in preagg.measures for c in preagg.columns_for(m).values()]
+    measures = preagg.measures if preagg else ()
+    mcols = [c for m in measures for c in preagg.columns_for(m).values()]
+    join = " LEFT JOIN pre USING (cf)" if preagg else ""
     cell = ", ".join(["lat"] + [f"d{i}" for i in range(max_n)])
     selects = []
     for li, (_, n) in enumerate(roots):
         dcols = [f"d{i}" if i < n else f"CAST(NULL AS STRING) AS d{i}" for i in range(max_n)]
         prio = f"xxhash64(:seed, cf{''.join(f', d{i}' for i in range(n))})"
-        selects.append(
-            f"SELECT {li} AS lat, {', '.join(dcols)}, cf, {prio} AS {PRIO_COL}, "
-            f"{', '.join(mcols)} FROM r{li} LEFT JOIN pre USING (cf)"
-        )
+        cols = [f"{li} AS lat", *dcols, "cf", f"{prio} AS {PRIO_COL}", *mcols]
+        selects.append(f"SELECT {', '.join(cols)} FROM r{li}{join}")
+    ctes = [(f"r{li}", root) for li, (root, _) in enumerate(roots)]
     pdf = with_ctes(
-        [(f"r{li}", root) for li, (root, _) in enumerate(roots)] + [("pre", preagg.query)],
+        ctes + ([("pre", preagg.query)] if preagg else []),
         f"SELECT * FROM (SELECT *, row_number() OVER (PARTITION BY {cell} "
         f"ORDER BY {PRIO_COL}) AS pos, count(1) OVER (PARTITION BY {cell}) AS n "
         f"FROM ({' UNION ALL '.join(selects)})) WHERE pos <= :capacity",
@@ -98,7 +99,7 @@ def draw_root_samples(
     ).run().toPandas().sort_values(PRIO_COL, kind="stable")
     return [
         RootSample(
-            preagg.measures,
+            measures,
             pdf.loc[pdf["lat"] == li, [f"d{i}" for i in range(n)]
                     + ["cf", PRIO_COL, "n"] + mcols].reset_index(drop=True),
         )
@@ -277,7 +278,6 @@ class Estimate:
     score: float
     lower: float
     upper: float
-    r: int  # sample size per group used
 
 
 def estimate_interestingness(
@@ -286,7 +286,7 @@ def estimate_interestingness(
     """Ĥ_r(Ȳ) with the Theorem-2 large-sample CI at sample size r."""
     h = get_h(h_name)
     if cand.lengths.size < 2:
-        return Estimate(0.0, 0.0, 0.0, r)
+        return Estimate(0.0, 0.0, 0.0)
 
     if cand.func in ("min", "max"):
         # Appendix C: sample extreme as point estimate; Popoviciu's
@@ -302,12 +302,12 @@ def estimate_interestingness(
         y = red[::2]
         score = h(y)
         if h_name != "variance" or cand.value_bounds is None:
-            return Estimate(score, 0.0, float("inf"), r)
+            return Estimate(score, 0.0, float("inf"))
         blo, bhi = cand.value_bounds
         box_lo = blo if cand.func == "min" else float(y.min())
         box_hi = float(y.max()) if cand.func == "min" else bhi
         upper = 0.25 * (box_hi - box_lo) ** 2  # Popoviciu
-        return Estimate(score, 0.0, max(upper, score), r)
+        return Estimate(score, 0.0, max(upper, score))
 
     # Vectorized prefix mean/variance at sample size r over the packed
     # ragged arrays (pure numpy even with tens of thousands of groups).
@@ -334,7 +334,7 @@ def estimate_interestingness(
     tau2 = float(np.sum(var_y * grad**2))
     # The paper's z_{1-α} is the 1 - α/2 quantile of the standard normal.
     eps = NormalDist().inv_cdf(1 - alpha / 2) * np.sqrt(max(tau2, 0.0))
-    return Estimate(score, max(0.0, score - eps), score + eps, r)
+    return Estimate(score, max(0.0, score - eps), score + eps)
 
 
 # ---------------------------------------------------------------------------

@@ -34,12 +34,6 @@ class LatticeSpec:
     funcs: dict[str, tuple[str, ...]]
 
     @property
-    def n_aggregates(self) -> int:
-        """Number of MDAs in this lattice: 2^N nodes x (aggregates per
-        node: one per (measure, func) pair plus count(*))."""
-        return (2 ** len(self.dims)) * len(self.pairs)
-
-    @property
     def pairs(self) -> list[tuple[str, str]]:
         """The (measure, func) pairs of every node: count(*) first."""
         return [(COUNT_STAR, "count")] + [

@@ -23,7 +23,7 @@ parameterized ``spark.sql`` statement, collected by one action:
   second pass for the duplicate-free nodes would translate the root
   twice.
 * measure computation — one left join with the per-CF pre-aggregated
-  measures and one ``GROUP BY (node, cell)`` computing *all*
+  measures (if any) and one ``GROUP BY (node, cell)`` computing *all*
   (measure, function) pairs; ``avg = sum(sum)/sum(cnt)`` and
   ``count(*) = count of (distinct-per-cell) facts`` implement the
   paper's Section 2 semantics exactly.
@@ -31,7 +31,8 @@ parameterized ``spark.sql`` statement, collected by one action:
 ``split_mdas`` cuts the collected rows into MDA results with numpy.
 Cross-lattice reuse: the evaluator memoizes results by ``MDAKey``, so an
 MDA appearing in several lattices of a CFS is computed once. PGCube is
-the same kernel without the dedupe (``pgcube.py``).
+the same kernel over the same inputs (``spade.cube_inputs``) without
+the dedupe (``pgcube.py``).
 """
 from __future__ import annotations
 
@@ -78,7 +79,7 @@ def translate(
     )
 
 
-def value_col_name(preagg: PreAggregatedMeasures, measure: str, func: str) -> str:
+def value_col_name(preagg: PreAggregatedMeasures | None, measure: str, func: str) -> str:
     """Stable result-column name for one (measure, func) pair."""
     if measure == COUNT_STAR:
         return STAR_COL
@@ -105,7 +106,7 @@ class CubeNode:
 
 def cube_query(
     lattices: list[tuple[Query, int, list[CubeNode], bool]],
-    preagg: PreAggregatedMeasures,
+    preagg: PreAggregatedMeasures | None,
     *,
     distinct_count: bool = False,
 ) -> Query:
@@ -113,8 +114,9 @@ def cube_query(
     the lattices' roots ``(root, n_dims, nodes, dedupe)``.
 
     Output: ``(node, d0..dM-1, v_...)`` with the dimension columns
-    padded to the widest lattice. ``distinct_count`` counts
-    ``count(*)`` as distinct facts (PGCube^d).
+    padded to the widest lattice. ``preagg`` is None when no node has a
+    measure pair. ``distinct_count`` counts ``count(*)`` as distinct
+    facts (PGCube^d).
     """
     max_n = max(n for _, n, _, _ in lattices)
     dcols = ", ".join(f"d{i}" for i in range(max_n))
@@ -158,7 +160,7 @@ def split_mdas(
     pdf: pd.DataFrame,
     nodes: list[CubeNode],
     cfs_name: str,
-    preagg: PreAggregatedMeasures,
+    preagg: PreAggregatedMeasures | None,
 ) -> dict[MDAKey, pd.DataFrame]:
     """Reported MDA results from the kernel's collected rows: groups
     with a null dimension value or a null aggregate (no fact in the
@@ -192,39 +194,29 @@ class MVDCubeEvaluator:
     """Evaluates lattices of one CFS, memoizing results by MDAKey."""
 
     cfs_name: str
-    union: DataFrame  # attribute union (a, s, o)
-    preagg: PreAggregatedMeasures
-    cfs_df: DataFrame
+    preagg: PreAggregatedMeasures | None  # None: no lattice has a measure
     results: dict[MDAKey, pd.DataFrame] = field(default_factory=dict)
     nodes_evaluated: int = 0
 
     def evaluate_many(
         self,
         specs: list[LatticeSpec],
+        roots: list[Query],
+        multi_valued_dims: set[str],
         *,
-        roots: list[Query] | None = None,
         skip: set[MDAKey] | None = None,
-        multi_valued_dims: set[str] | None = None,
     ) -> None:
         """Evaluate several lattices of the CFS in one Spark statement
         (``cube_query``, see DESIGN.md) and one action.
 
-        MDAs appearing in several lattices (or memoized from earlier
-        calls) are planned once; ``skip`` holds early-stop-pruned keys.
-        ``roots`` may carry the lattices' translations, aligned with
-        ``specs`` (default: ``translate`` each).
-
-        ``multi_valued_dims`` enables the Theorem-1 refinement: only
-        lattices with a node that projects away a *multi-valued*
-        dimension are deduplicated (None = treat every dimension as
-        potentially multi-valued, always safe).
+        ``roots`` are the lattices' translations, aligned with
+        ``specs``. MDAs appearing in several lattices (or memoized from
+        earlier calls) are planned once; ``skip`` holds
+        early-stop-pruned keys. Theorem 1: only lattices with a planned
+        node that projects away a dimension of ``multi_valued_dims``
+        are deduplicated.
         """
         skip = skip or set()
-        if roots is None:
-            roots = [
-                translate(self.cfs_df, self.union, spec.dims, f"l{si}_")
-                for si, spec in enumerate(specs)
-            ]
         lattices: list[tuple[Query, int, list[CubeNode], bool]] = []
         nodes: list[CubeNode] = []
         planned: set[MDAKey] = set()
@@ -244,7 +236,7 @@ class MVDCubeEvaluator:
                     continue
                 planned |= {keys[p] for p in pairs}
                 dropped = set(spec.dims) - set(names.values())
-                dedupe |= multi_valued_dims is None or bool(dropped & multi_valued_dims)
+                dedupe |= bool(dropped & multi_valued_dims)
                 spec_nodes.append(CubeNode(len(nodes), names, pairs))
                 nodes.append(spec_nodes[-1])
                 self.nodes_evaluated += 1

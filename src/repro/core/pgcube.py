@@ -5,7 +5,9 @@ one-pass grouping-sets evaluation over the relational encoding of the
 facts (each fact joined with its dimension and measure values, hence
 *duplicated* once per combination of multi-valued dimension values).
 Here it is MVDCube's cube kernel (``mvdcube.cube_query``) without the
-per-fact dedupe: the same one-pass projection into every grouping set.
+per-fact dedupe: the same one-pass projection into every grouping set,
+over the same inputs (``spade.cube_inputs``: the lattice's Data
+Translation root and the CFS's pre-aggregated measures).
 
 Two variants as in Section 6:
 * ``PGCube*``  — counts with ``count(*)`` over the exploded rows;
@@ -21,42 +23,31 @@ Experiment 3 records the per-group maximum error.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import pandas as pd
-from pyspark.sql import DataFrame
 
 from repro.core.enumeration import LatticeSpec
 from repro.core.mda import MDAKey
-from repro.core.mvdcube import CubeNode, cube_query, split_mdas, translate
+from repro.core.mvdcube import CubeNode, cube_query, split_mdas
 from repro.core.preagg import PreAggregatedMeasures
 from repro.core.query import Query
 
 
-@dataclass
-class PGCubeEvaluator:
-    """Evaluates one lattice per statement; no cross-lattice reuse."""
-
-    cfs_name: str
-    union: DataFrame  # attribute union (a, s, o)
-    preagg: PreAggregatedMeasures
-    cfs_df: DataFrame
-    distinct_count: bool = False  # False => PGCube*, True => PGCube^d
-
-    def evaluate(
-        self, spec: LatticeSpec, *, root: Query | None = None
-    ) -> dict[MDAKey, pd.DataFrame]:
-        """One cube statement over the exploded fact relation, split per
-        grouping set (lattice node)."""
-        if root is None:
-            root = translate(self.cfs_df, self.union, spec.dims, "l0_")
-        nodes = [
-            CubeNode(i, {j: spec.dims[j] for j in pos}, spec.pairs)
-            for i, pos in enumerate(spec.nodes())
-        ]
-        query = cube_query(
-            [(root, len(spec.dims), nodes, False)],
-            self.preagg,
-            distinct_count=self.distinct_count,
-        )
-        return split_mdas(query.run().toPandas(), nodes, self.cfs_name, self.preagg)
+def evaluate(
+    cfs_name: str,
+    spec: LatticeSpec,
+    root: Query,
+    preagg: PreAggregatedMeasures | None,
+    *,
+    distinct_count: bool,
+) -> dict[MDAKey, pd.DataFrame]:
+    """One cube statement over the lattice's exploded fact relation
+    ``root``, split per grouping set (lattice node). ``distinct_count``
+    selects PGCube^d, else PGCube*."""
+    nodes = [
+        CubeNode(i, {j: spec.dims[j] for j in pos}, spec.pairs)
+        for i, pos in enumerate(spec.nodes())
+    ]
+    query = cube_query(
+        [(root, len(spec.dims), nodes, False)], preagg, distinct_count=distinct_count
+    )
+    return split_mdas(query.run().toPandas(), nodes, cfs_name, preagg)

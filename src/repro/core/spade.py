@@ -7,8 +7,10 @@ graph's CFSs; no Spark job) → online attribute analysis (one Spark
 statement for all the analyzed CFSs) → aggregate enumeration (no Spark
 job, from the analysis's attribute-set patterns) → aggregate evaluation
 (MVDCube or PGCube, optionally with early-stop) → top-k computation.
-Every step is wall-clock timed (`SpadeResult.times`) for Experiment 5's
-breakdown.
+Every evaluator of a CFS reads the same ``cube_inputs`` (pre-aggregated
+measures and one Data Translation root per lattice); Table 3 evaluates
+through them too. Every step is wall-clock timed (`SpadeResult.times`)
+for Experiment 5's breakdown.
 """
 from __future__ import annotations
 
@@ -18,6 +20,7 @@ from dataclasses import dataclass, field, replace
 
 from pyspark.sql import DataFrame, SparkSession
 
+from repro.core import pgcube
 from repro.core.arm import AggregateResultManager, RankedMDA
 from repro.core.attributes import (
     AnalyzedAttribute,
@@ -41,7 +44,6 @@ from repro.core.earlystop import (
 from repro.core.enumeration import LatticeSpec, enumerate_lattices
 from repro.core.mda import MDAKey
 from repro.core.mvdcube import MVDCubeEvaluator, translate
-from repro.core.pgcube import PGCubeEvaluator
 from repro.core.preagg import PreAggregatedMeasures, preaggregate
 from repro.core.query import Query
 from repro.rdf.summary import StructuralSummary
@@ -59,7 +61,6 @@ def _timed(times: dict[str, float], step: str):
 class OfflineArtifacts:
     """Everything the offline phase produces."""
 
-    store: TripleStore
     summary: StructuralSummary
     offline_stats: dict[str, AttributeStats]
     attributes: list[Attribute]  # direct + derived
@@ -98,9 +99,7 @@ def offline_phase(store: TripleStore, config: SpadeConfig) -> OfflineArtifacts:
         direct.unpersist()
     direct_attrs = [Attribute(p, None, "direct") for p in sorted(summary.all_properties())]
     attrs = [replace(a, union=union) for a in direct_attrs + derived]
-    return OfflineArtifacts(
-        store, summary, stats, attrs, counts, cfss, union, times
-    )
+    return OfflineArtifacts(summary, stats, attrs, counts, cfss, union, times)
 
 
 @dataclass
@@ -112,6 +111,12 @@ class CFSAnalysis:
     lattices: list[LatticeSpec]
     union: DataFrame | None  # the attribute union the evaluation reads
 
+    @property
+    def multi_valued_dims(self) -> set[str]:
+        """Theorem 1's set: the attributes with several values on some
+        fact; only a node that projects one away can count a fact twice."""
+        return {a.name for a in self.attributes if a.stats.multi_count > 0}
+
 
 @dataclass
 class SpadeResult:
@@ -122,7 +127,6 @@ class SpadeResult:
     times: dict[str, float]
     analyses: list[CFSAnalysis]
     es: EarlyStopResult | None = None
-    evaluator: str = "mvdcube"
 
     @property
     def lattices(self) -> list[LatticeSpec]:
@@ -136,7 +140,7 @@ def analyze_and_enumerate(
     action (the online analysis of all the CFSs), none for selection or
     enumeration."""
     with _timed(times, "cfs_selection"):
-        cfss = analyzable(select_cfss(offline.store, offline.cfss, config), config)
+        cfss = analyzable(select_cfss(offline.summary, offline.cfss, config), config)
     with _timed(times, "online_attribute_analysis"):
         results = analyze_attributes(
             [c.df for c in cfss], offline.attributes, offline.attr_union
@@ -149,6 +153,21 @@ def analyze_and_enumerate(
             lattices = enumerate_lattices(cfs.name, cfs.size, alist, patterns, config)
         analyses.append(CFSAnalysis(cfs, alist, lattices, offline.attr_union))
     return analyses
+
+
+def cube_inputs(analysis: CFSAnalysis) -> tuple[PreAggregatedMeasures | None, list[Query]]:
+    """What every evaluator of a CFS reads: the pre-aggregates of its
+    lattices' measures (None when no lattice has a measure: count(*)
+    reads none) and one Data Translation root per lattice, aligned with
+    ``analysis.lattices``. Both are SQL fragments, planned into the
+    statements that read them."""
+    measures = sorted({m for sp in analysis.lattices for m in sp.measures})
+    preagg = preaggregate(analysis.union, measures) if measures else None
+    roots = [
+        translate(analysis.cfs.df, analysis.union, spec.dims, f"l{i}_")
+        for i, spec in enumerate(analysis.lattices)
+    ]
+    return preagg, roots
 
 
 def evaluate_analyses(
@@ -164,9 +183,9 @@ def evaluate_analyses(
     """Steps 4-5 over pre-analyzed CFSs (lets callers time evaluation
     alone, as the paper does when comparing evaluation methods).
 
-    Translation and pre-aggregation are SQL fragments planned into the
-    evaluation statement of their CFS (MVDCube) or lattice (PGCube);
-    early-stop samples the same fragments in one more statement."""
+    Every evaluator reads the same ``cube_inputs``: one statement per
+    CFS (MVDCube) or per lattice (PGCube); early-stop samples the same
+    fragments in one more statement per CFS."""
     assert evaluator in ("mvdcube", "pgcube*", "pgcubed")
     assert not (early_stop and evaluator != "mvdcube"), "ES plugs into MVDCube"
     times: dict[str, float] = {}
@@ -175,20 +194,11 @@ def evaluate_analyses(
 
     with _timed(times, "aggregate_evaluation"):
         all_candidates = []
-        per_cfs: list[tuple[CFSAnalysis, PreAggregatedMeasures, list[Query]]] = []
+        per_cfs = []
         for analysis in analyses:
             if not analysis.lattices:
                 continue
-            stats_map = {a.name: a.stats for a in analysis.attributes}
-            measures = sorted({m for sp in analysis.lattices for m in sp.measures})
-            # count(*)-only lattices never read the pre-aggregates.
-            preagg = preaggregate(
-                analysis.union, measures or [analysis.attributes[0].name]
-            )
-            roots = [
-                translate(analysis.cfs.df, analysis.union, spec.dims, f"l{i}_")
-                for i, spec in enumerate(analysis.lattices)
-            ]
+            preagg, roots = cube_inputs(analysis)
             if early_stop:
                 # All reservoirs of the CFS fill in one pass (sampling
                 # runs over Data Translation, §5.3).
@@ -198,6 +208,7 @@ def evaluate_analyses(
                     capacity=config.es_sample_size,
                     seed=config.seed,
                 )
+                stats_map = {a.name: a.stats for a in analysis.attributes}
                 for spec, sample in zip(analysis.lattices, samples):
                     bounds = {
                         m: (stats_map[m].vmin, stats_map[m].vmax)
@@ -222,33 +233,27 @@ def evaluate_analyses(
             skip = es_result.pruned
 
         for analysis, preagg, roots in per_cfs:
-            cfs = analysis.cfs
+            name = analysis.cfs.name
             if evaluator == "mvdcube":
-                ev = MVDCubeEvaluator(cfs.name, analysis.union, preagg, cfs.df)
                 # All lattices of the CFS in one statement (shared scan,
-                # shared measures — the paper's one-pass + reuse); the
-                # online stats feed Theorem 1's multi-valued-dims set.
-                md = {a.name for a in analysis.attributes if a.stats.multi_count > 0}
+                # shared measures — the paper's one-pass + reuse).
+                ev = MVDCubeEvaluator(name, preagg)
                 ev.evaluate_many(
-                    analysis.lattices, roots=roots, skip=skip, multi_valued_dims=md
+                    analysis.lattices, roots, analysis.multi_valued_dims, skip=skip
                 )
                 arm.add_all(ev.results)
             else:
-                ev = PGCubeEvaluator(
-                    cfs.name,
-                    analysis.union,
-                    preagg,
-                    cfs.df,
-                    distinct_count=(evaluator == "pgcubed"),
-                )
                 for spec, root in zip(analysis.lattices, roots):
-                    for key, res in ev.evaluate(spec, root=root).items():
+                    results = pgcube.evaluate(
+                        name, spec, root, preagg, distinct_count=evaluator == "pgcubed"
+                    )
+                    for key, res in results.items():
                         if key not in arm:  # first lattice wins (no reuse)
                             arm.add(key, res)
 
     with _timed(times, "topk"):
         topk = arm.top_k(h, k)
-    return SpadeResult(topk, arm, times, analyses, es_result, evaluator)
+    return SpadeResult(topk, arm, times, analyses, es_result)
 
 
 def run_online(

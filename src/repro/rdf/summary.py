@@ -12,10 +12,13 @@ equivalence and exactly what Spade consumes from the summary:
 * per-group property sets (used to expedite attribute enumeration).
 
 The same per-node pass also records each node's rdf:types, so the
-type-based CFSs and their sizes come out of the summary's one job too.
+type-based CFSs and their sizes come out of the summary's one job too,
+and so do the property-based ones: a node has every property of a set
+exactly when its class's property set contains it.
 """
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from pyspark.sql import DataFrame
@@ -54,26 +57,26 @@ class StructuralSummary:
                 F.sort_array(F.collect_set(F.when(is_type, F.col("o")))).alias("types"),
             )
         )
-        # One job counts the nodes per (class, type set), which sizes both
-        # the classes and the types.
-        class_sizes: dict[str, int] = {}
+        # One job counts the nodes per (class, type set), which sizes the
+        # classes, the types and any property set.
+        #: Per cs: its number of nodes, and of those with an rdf:type.
+        self._cs_sizes: dict[str, list[int]] = {}
         #: Number of nodes of each rdf:type.
         self.type_sizes: dict[str, int] = {}
         for r in self.nodes.groupBy("cs", "types").count().collect():
-            if r["cs"]:
-                class_sizes[r["cs"]] = class_sizes.get(r["cs"], 0) + r["count"]
+            sizes = self._cs_sizes.setdefault(r["cs"], [0, 0])
+            sizes[0] += r["count"]
+            sizes[1] += r["count"] if r["types"] else 0
             for t in r["types"]:
                 self.type_sizes[t] = self.type_sizes.get(t, 0) + r["count"]
         # Deterministic class ids: order by descending size then cs text.
-        ordered = sorted(class_sizes, key=lambda cs: (-class_sizes[cs], cs))
+        ordered = sorted((cs for cs in self._cs_sizes if cs),
+                         key=lambda cs: (-self._cs_sizes[cs][0], cs))
         self.classes: list[SummaryClass] = [
-            SummaryClass(i, frozenset(cs.split(_SEP)), class_sizes[cs])
+            SummaryClass(i, frozenset(cs.split(_SEP)), self._cs_sizes[cs][0])
             for i, cs in enumerate(ordered)
         ]
         self._cs_by_id = dict(enumerate(ordered))
-
-    def num_classes(self) -> int:
-        return len(self.classes)
 
     def members(self, class_id: int) -> DataFrame:
         """Single-column frame ``cf`` with the members of one class."""
@@ -85,6 +88,22 @@ class StructuralSummary:
         return self.nodes.filter(F.array_contains("types", rdf_type)).select(
             F.col("s").alias("cf")
         )
+
+    def members_having(self, props: Iterable[str]) -> tuple[DataFrame, int]:
+        """Frame ``cf`` of the nodes with every property of ``props`` (for
+        rdf:type, with a type), and its size, without a Spark job: the
+        node frame filtered to the classes whose property set contains
+        ``props``, sized from the summary's counts."""
+        wanted = set(props)
+        typed = RDF_TYPE in wanted
+        wanted.discard(RDF_TYPE)
+        # Nodes without a class (cs "") have no property but rdf:type.
+        keys = [cs for cs in self._cs_sizes if wanted <= set(cs.split(_SEP)) - {""}]
+        members = self.nodes.filter(F.col("cs").isin(keys))
+        if typed:
+            members = members.filter(F.size("types") > 0)
+        size = sum(self._cs_sizes[cs][int(typed)] for cs in keys)
+        return members.select(F.col("s").alias("cf")), size
 
     def all_properties(self) -> frozenset[str]:
         """Union of the property sets of all classes."""

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql import functions as F
 from pyspark.sql.types import StringType, StructField, StructType
 
 RDF_TYPE = "rdf:type"
@@ -83,8 +82,7 @@ class TripleStore:
     """An RDF graph as a Spark DataFrame of (s, p, o) triples.
 
     The triple frame is cached: the load's statements (structural
-    summary, the attribute union) and the property-based CFSs all scan
-    it.
+    summary, the attribute union) all scan it.
     """
 
     def __init__(self, triples: DataFrame, *, name: str = "graph"):
@@ -96,20 +94,6 @@ class TripleStore:
     def num_triples(self) -> int:
         """Total number of triples in the graph."""
         return self.triples.count()
-
-    def subjects_with_properties(self, props: list[str]) -> DataFrame:
-        """Subjects having *all* the given outgoing properties, as a
-        frame ``cf`` hash-partitioned by it like every frame of facts."""
-        if not props:
-            raise ValueError("props must be non-empty")
-        return (
-            self.triples.where(F.col("p").isin(props))
-            .groupBy(F.col("s").alias("cf"))
-            .agg(F.count_distinct("p").alias("n"))
-            .where(F.col("n") == len(set(props)))
-            .select("cf")
-            .repartition(shuffle_partitions(self.triples), "cf")
-        )
 
     def unpersist(self) -> None:
         self.triples.unpersist()

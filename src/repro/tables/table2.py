@@ -56,7 +56,7 @@ def profile_dataset(
 
     # wD: full offline phase with derivations.
     off_wd = spade.offline_phase(store, config)
-    n_cfss = len(select_cfss(store, off_wd.cfss, config))
+    n_cfss = len(select_cfss(off_wd.summary, off_wd.cfss, config))
     times: dict[str, float] = {}
     analyses_wd = spade.analyze_and_enumerate(off_wd, config, times)
     n_a_wd = count_distinct_mdas([sp for a in analyses_wd for sp in a.lattices])

@@ -18,12 +18,10 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import SparkSession
 
-from repro.core import spade
-from repro.core.config import COUNT_STAR, SpadeConfig
+from repro.core import pgcube, spade
+from repro.core.config import SpadeConfig
 from repro.core.mda import MDAKey
-from repro.core.mvdcube import MVDCubeEvaluator, translate
-from repro.core.pgcube import PGCubeEvaluator
-from repro.core.preagg import preaggregate
+from repro.core.mvdcube import MVDCubeEvaluator
 from repro.datagen import real_graphs
 
 RTOL = 1e-9
@@ -74,45 +72,30 @@ class DatasetErrors:
     t_pg_distinct: float = 0.0
 
 
-def _evaluate_all(spark, analyses, config):
-    """MVD results (merged), per-lattice PGCube*/^d results, timings."""
+def _evaluate_all(analyses):
+    """MVD results (merged), per-lattice PGCube*/^d results, timings:
+    every evaluator reads the cube inputs a request builds."""
     mvd: dict[MDAKey, pd.DataFrame] = {}
     pg_star: list[dict[MDAKey, pd.DataFrame]] = []
     pg_dist: list[dict[MDAKey, pd.DataFrame]] = []
-    t_mvd = t_star = t_dist = 0.0
+    t_mvd, t_pg = 0.0, {False: 0.0, True: 0.0}  # PGCube's by distinct_count
     for analysis in analyses:
         if not analysis.lattices:
             continue
-        measure_names = sorted({m for sp in analysis.lattices for m in sp.measures})
-        if not measure_names:
-            continue
-        cfs, union = analysis.cfs, analysis.union
-        preagg = preaggregate(union, measure_names)
-        # Every evaluator plans the same translation fragments.
-        roots = [
-            translate(cfs.df, union, sp.dims, f"l{i}_")
-            for i, sp in enumerate(analysis.lattices)
-        ]
-        md = {a.name for a in analysis.attributes if a.stats.multi_count > 0}
+        name = analysis.cfs.name
+        preagg, roots = spade.cube_inputs(analysis)
         t0 = time.perf_counter()
-        ev = MVDCubeEvaluator(cfs.name, union, preagg, cfs.df)
-        ev.evaluate_many(analysis.lattices, roots=roots, multi_valued_dims=md)
+        ev = MVDCubeEvaluator(name, preagg)
+        ev.evaluate_many(analysis.lattices, roots, analysis.multi_valued_dims)
         t_mvd += time.perf_counter() - t0
         mvd.update(ev.results)
 
         for distinct, acc in ((False, pg_star), (True, pg_dist)):
             t0 = time.perf_counter()
-            pg = PGCubeEvaluator(
-                cfs.name, union, preagg, cfs.df, distinct_count=distinct
-            )
-            for sp, root in zip(analysis.lattices, roots):
-                acc.append(pg.evaluate(sp, root=root))
-            dt = time.perf_counter() - t0
-            if distinct:
-                t_dist += dt
-            else:
-                t_star += dt
-    return mvd, pg_star, pg_dist, t_mvd, t_star, t_dist
+            acc += [pgcube.evaluate(name, sp, root, preagg, distinct_count=distinct)
+                    for sp, root in zip(analysis.lattices, roots)]
+            t_pg[distinct] += time.perf_counter() - t0
+    return mvd, pg_star, pg_dist, t_mvd, t_pg[False], t_pg[True]
 
 
 def analyze_dataset_errors(
@@ -126,10 +109,14 @@ def analyze_dataset_errors(
     config = config or SpadeConfig()
     store = real_graphs.build(spark, name, sf=sf)
     off = spade.offline_phase(store, config)
-    analyses = spade.analyze_and_enumerate(off, config, {})
-    mvd, pg_star, pg_dist, t_mvd, t_star, t_dist = _evaluate_all(
-        spark, analyses, config
-    )
+    out = dataset_errors(name, spade.analyze_and_enumerate(off, config, {}))
+    store.unpersist()
+    return out
+
+
+def dataset_errors(name: str, analyses: list[spade.CFSAnalysis]) -> DatasetErrors:
+    """Experiment 2/3 over the analyzed CFSs of one graph."""
+    mvd, pg_star, pg_dist, t_mvd, t_star, t_dist = _evaluate_all(analyses)
     wrong_star: set[MDAKey] = set()
     wrong_dist: set[MDAKey] = set()
     for per_lattice, wrong in ((pg_star, wrong_star), (pg_dist, wrong_dist)):
@@ -150,7 +137,7 @@ def analyze_dataset_errors(
             if cur is None or (r and max(r) > max(cur, default=0.0)):
                 ratios[key] = r
     all_ratios = [x for rs in ratios.values() for x in rs]
-    out = DatasetErrors(
+    return DatasetErrors(
         dataset=name,
         n_aggregates=len(mvd),
         wrong_star=len(wrong_star),
@@ -160,8 +147,6 @@ def analyze_dataset_errors(
         t_pg_star=t_star,
         t_pg_distinct=t_dist,
     )
-    store.unpersist()
-    return out
 
 
 def table3(

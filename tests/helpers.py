@@ -1,4 +1,5 @@
-"""Shared test helpers: the paper's Figure 1 graph, oracle glue."""
+"""Shared test helpers: the paper's Figure 1 graph, CFSs analyzed as a
+request analyzes them, reference frames, oracle glue."""
 from __future__ import annotations
 
 from dataclasses import replace
@@ -10,9 +11,12 @@ from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql import functions as F
 from pyspark.sql.types import DoubleType, StringType, StructField, StructType
 
-from repro.core.attributes import direct_part
+from repro.core.attributes import analyze_attributes, analyzed, direct_part
+from repro.core.cfs import CandidateFactSet
 from repro.core.config import COUNT_STAR, SpadeConfig
 from repro.core.derived import derivations
+from repro.core.mvdcube import MVDCubeEvaluator
+from repro.core.spade import CFSAnalysis, cube_inputs
 from repro.mda_oracle import mda_oracle_sql, oracle_tables, positional
 from repro.oracle import assert_equivalent
 from repro.rdf.triples import RDF_TYPE, TripleStore, triples_from_rows
@@ -65,6 +69,18 @@ def nodes_of_type(store: TripleStore, rdf_type: str) -> DataFrame:
     )
 
 
+def subjects_with_properties(store: TripleStore, props: list[str]) -> DataFrame:
+    """Reference members of a property-based CFS: one aggregate over the
+    triples keeping the subjects with every property of ``props``."""
+    return (
+        store.triples.where(F.col("p").isin(props))
+        .groupBy(F.col("s").alias("cf"))
+        .agg(F.count_distinct("p").alias("n"))
+        .where(F.col("n") == len(set(props)))
+        .select("cf")
+    )
+
+
 def with_table(store: TripleStore, attribute):
     """A derived attribute with its own (s, o) table, from its
     derivation fragment over the store's direct part."""
@@ -77,6 +93,28 @@ def union_of(attributes) -> DataFrame:
     (s, o) tables, as a loaded graph's attribute union holds them."""
     frames = [a.df.select(F.lit(a.name).alias("a"), "s", "o") for a in attributes]
     return reduce(DataFrame.unionByName, frames)
+
+
+def analysis_of(name: str, cfs: DataFrame, attributes, lattices) -> CFSAnalysis:
+    """The CFS ``cfs`` as a request analyzes it: online statistics of
+    ``attributes`` (which bring their own tables) over their union."""
+    union = union_of(attributes)
+    [(stats, _)] = analyze_attributes([cfs], list(attributes), union)
+    return CFSAnalysis(
+        CandidateFactSet(name, cfs, cfs.count(), "type"),
+        analyzed(list(attributes), stats),
+        list(lattices),
+        union,
+    )
+
+
+def evaluate_mvdcube(analysis: CFSAnalysis, **kwargs) -> MVDCubeEvaluator:
+    """A new evaluator over every lattice of ``analysis``, fed the cube
+    inputs and multi-valued set that a request feeds it."""
+    preagg, roots = cube_inputs(analysis)
+    ev = MVDCubeEvaluator(analysis.cfs.name, preagg)
+    ev.evaluate_many(analysis.lattices, roots, analysis.multi_valued_dims, **kwargs)
+    return ev
 
 
 def mda_result_schema(dims: tuple[str, ...]) -> StructType:

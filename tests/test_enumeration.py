@@ -167,13 +167,6 @@ def test_measure_conflicting_with_dim_excluded(enum_store):
             assert "count(d1)" not in spec.measures
 
 
-def test_n_aggregates_formula():
-    spec = LatticeSpec("c", ("a", "b"), ("m1", "m2"),
-                       {"m1": ("sum", "avg"), "m2": ("count",)})
-    # 4 nodes x (1 count(*) + 3 measure-func pairs).
-    assert spec.n_aggregates == 16
-
-
 def test_mda_keys_cover_all_nodes():
     spec = LatticeSpec("c", ("a", "b"), ("m",), {"m": ("sum",)})
     keys = spec.mda_keys()

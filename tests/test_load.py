@@ -26,11 +26,12 @@ def fig1_offline(fig1, test_config):
 
 
 @pytest.fixture(scope="module", params=["ceos", "fig1"])
-def loaded(request, ceos_offline, fig1_offline):
+def loaded(request, ceos_store, fig1, ceos_offline, fig1_offline):
     """(offline artifacts, the graph's distinct non-type triples, the
     derivation counts the graph had before the union was one plan)."""
     offline = {"ceos": ceos_offline, "fig1": fig1_offline}[request.param]
-    triples = offline.store.triples.toPandas()
+    store = {"ceos": ceos_store, "fig1": fig1}[request.param]
+    triples = store.triples.toPandas()
     direct = (
         triples[triples["p"] != RDF_TYPE]
         .rename(columns={"p": "a"})[["a", "s", "o"]]

@@ -35,7 +35,7 @@ def all_config(test_config):
 @pytest.fixture(scope="module")
 def cfss(ceos_offline, all_config):
     out = analyzable(
-        select_cfss(ceos_offline.store, ceos_offline.cfss, all_config), all_config
+        select_cfss(ceos_offline.summary, ceos_offline.cfss, all_config), all_config
     )
     assert len(out) >= 4 and {c.source for c in out} == {"type", "summary"}
     return out
@@ -145,11 +145,18 @@ def test_steps_1_to_3_spark_jobs(spark, ceos_offline, all_config):
     selected, select_jobs = _jobs(
         spark, "test-select",
         lambda: analyzable(
-            select_cfss(ceos_offline.store, ceos_offline.cfss, all_config),
+            select_cfss(ceos_offline.summary, ceos_offline.cfss, all_config),
             all_config,
         ),
     )
     assert select_jobs == 0 and len(selected) >= 4
+    # Property-based CFSs too are sized from the summary's counts.
+    props = replace(all_config, property_cfss=(("company",), ("rdf:type", "company")))
+    _, select_jobs = _jobs(
+        spark, "test-select-props",
+        lambda: select_cfss(ceos_offline.summary, ceos_offline.cfss, props),
+    )
+    assert select_jobs == 0
     analyses, jobs = _jobs(
         spark, "test-steps-1-3",
         lambda: spade.analyze_and_enumerate(ceos_offline, all_config, {}),

@@ -42,9 +42,8 @@ def _columns(node) -> set[str]:
 
 def _shuffled_scans(node, shuffled: bool = False) -> list[str]:
     """The scans below ``node`` of the attribute union (column ``a``) or
-    of the node frame (``cs``, ``types``) that an exchange sits above.
-    A property-based CFS scans the triples (``s, p, o``), whose own
-    GROUP BY on the subject shuffles them."""
+    of the node frame (``cs``, ``types``; every CFS frame filters it)
+    that an exchange sits above."""
     children = _children(node)
     if not children:
         graph_frame = bool(_columns(node) & {"a", "cs", "types"})

@@ -9,16 +9,16 @@ from repro.core.config import COUNT_STAR
 from repro.core.derived import path_attribute
 from repro.core.enumeration import LatticeSpec
 from repro.core.mda import MDAKey
-from repro.core.pgcube import PGCubeEvaluator
-from repro.core.preagg import preaggregate
+from repro.core.pgcube import evaluate
+from repro.core.spade import cube_inputs
 from repro.datagen.generator import generate
 from repro.datagen.schema import GraphSpec, NodeClassSpec, PropertySpec
 from tests.helpers import (
+    analysis_of,
     assert_mda_matches_oracle,
     group_value,
     nodes_of_type,
     property_table,
-    union_of,
     with_table,
 )
 
@@ -37,18 +37,15 @@ def fig1_pg(spark, fig1):
         "netWorth": Attribute("netWorth", property_table(fig1, "netWorth"), "direct"),
         "age": Attribute("age", property_table(fig1, "age"), "direct"),
     }
-    union = union_of(list(attrs.values()))
-    preagg = preaggregate(union, ["netWorth", "age"])
     spec = LatticeSpec(
         cfs_name="CEO",
         dims=("nationality", "gender", "company/area"),
         measures=("netWorth", "age"),
         funcs={"netWorth": ("sum", "min"), "age": ("avg",)},
     )
-    star = PGCubeEvaluator("CEO", union, preagg, cfs, distinct_count=False)
-    dist = PGCubeEvaluator("CEO", union, preagg, cfs, distinct_count=True)
-    res_star = star.evaluate(spec)
-    res_dist = dist.evaluate(spec)
+    preagg, [root] = cube_inputs(analysis_of("CEO", cfs, attrs.values(), [spec]))
+    res_star = evaluate("CEO", spec, root, preagg, distinct_count=False)
+    res_dist = evaluate("CEO", spec, root, preagg, distinct_count=True)
     yield res_star, res_dist
 
 
@@ -156,13 +153,11 @@ def sv(spark):
         n: Attribute(n, property_table(store, n), "direct")
         for n in ("color", "size", "score")
     }
-    union = union_of(list(attrs.values()))
-    preagg = preaggregate(union, ["score"])
     spec = LatticeSpec(
         "F", dims=("color", "size"), measures=("score",), funcs={"score": FUNCS}
     )
-    ev = PGCubeEvaluator("F", union, preagg, cfs, distinct_count=False)
-    results = ev.evaluate(spec)
+    preagg, [root] = cube_inputs(analysis_of("F", cfs, attrs.values(), [spec]))
+    results = evaluate("F", spec, root, preagg, distinct_count=False)
     tables = {
         "cfs": cfs.toPandas(),
         "dims": {n: attrs[n].df.toPandas() for n in ("color", "size")},

@@ -13,12 +13,13 @@ from repro.core.attributes import Attribute, analyze_attributes
 from repro.core.config import COUNT_STAR
 from repro.core.enumeration import LatticeSpec
 from repro.core.mda import MDAKey
-from repro.core.mvdcube import MVDCubeEvaluator
-from repro.core.pgcube import PGCubeEvaluator
-from repro.core.preagg import preaggregate
+from repro.core.pgcube import evaluate
+from repro.core.spade import cube_inputs
 from repro.rdf.triples import TripleStore, triples_from_rows
 from tests.helpers import (
+    analysis_of,
     assert_mda_matches_oracle,
+    evaluate_mvdcube,
     nodes_of_type,
     property_table,
     union_of,
@@ -53,15 +54,14 @@ def hostile(spark):
     store = TripleStore(triples_from_rows(spark, _rows()))
     cfs = nodes_of_type(store, "F")
     attrs = {n: Attribute(n, property_table(store, n), "direct") for n in DIMS + MEASURES}
-    union = union_of(list(attrs.values()))
-    preagg = preaggregate(union, list(MEASURES))
     spec = LatticeSpec(
         "F", dims=DIMS, measures=MEASURES,
         funcs={"{z}": ("sum",), ":m0": ("avg",), "back\\slash": ("max",)},
     )
-    mvd = MVDCubeEvaluator("F", union, preagg, cfs)
-    mvd.evaluate_many([spec])
-    pgd = PGCubeEvaluator("F", union, preagg, cfs, distinct_count=True).evaluate(spec)
+    analysis = analysis_of("F", cfs, attrs.values(), [spec])
+    mvd = evaluate_mvdcube(analysis)
+    preagg, [root] = cube_inputs(analysis)
+    pgd = evaluate("F", spec, root, preagg, distinct_count=True)
     tables = {
         "cfs": cfs.toPandas(),
         "attrs": {n: a.df.toPandas() for n, a in attrs.items()},

@@ -3,6 +3,7 @@ import pytest
 
 from repro.rdf.summary import StructuralSummary
 from repro.rdf.triples import RDF_TYPE, TripleStore, triples_from_rows
+from tests.helpers import subjects_with_properties
 
 
 @pytest.fixture(scope="module")
@@ -22,7 +23,7 @@ def test_num_classes(store):
     # {p1,p2} x3 (a, b, d - rdf:type is excluded from the signature),
     # {p1} x1 (c).
     summary = StructuralSummary(store)
-    assert summary.num_classes() == 2
+    assert len(summary.classes) == 2
     summary.unpersist()
 
 
@@ -75,3 +76,48 @@ def test_types(spark):
     assert [c.size for c in summary.classes] == [2]  # d, f
     summary.unpersist()
     store.unpersist()
+
+
+@pytest.fixture(scope="module")
+def typed(spark):
+    # "e" has rdf:type only: a node with a type, in no class.
+    rows = [
+        ("a", RDF_TYPE, "T1"), ("a", "p1", "x"), ("a", "p1", "y"), ("a", "p2", "1"),
+        ("b", RDF_TYPE, "T1"), ("b", RDF_TYPE, "T2"), ("b", "p2", "2"),
+        ("c", "p3", "a"),
+        ("e", RDF_TYPE, "T3"),
+    ]
+    store = TripleStore(triples_from_rows(spark, rows))
+    summary = StructuralSummary(store)
+    yield store, summary
+    summary.unpersist()
+    store.unpersist()
+
+
+def _having(summary, props):
+    df, size = summary.members_having(props)
+    members = {r["cf"] for r in df.collect()}
+    assert len(members) == size
+    return members
+
+
+def test_members_having_single(typed):
+    _, summary = typed
+    assert _having(summary, ["p2"]) == {"a", "b"}
+
+
+def test_members_having_conjunctive(typed):
+    _, summary = typed
+    assert _having(summary, ["p1", "p2"]) == {"a"}
+    assert _having(summary, ["p1", "p3"]) == set()
+
+
+@pytest.mark.parametrize(
+    "props", [[RDF_TYPE], [RDF_TYPE, "p2"], ["p1", RDF_TYPE], ["p3", RDF_TYPE]],
+    ids=lambda p: "+".join(p),
+)
+def test_members_having_type_match_reference(typed, props):
+    # rdf:type counts as a property: its nodes have at least one type.
+    store, summary = typed
+    reference = {r["cf"] for r in subjects_with_properties(store, props).collect()}
+    assert _having(summary, props) == reference

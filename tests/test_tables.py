@@ -7,12 +7,20 @@ analog has both; early-stop prunes without destroying the top-k
 run the same harnesses at full scale.
 """
 import math
+from dataclasses import replace
 
 import pytest
 
+from repro.core import spade
 from repro.core.config import SpadeConfig
 from repro.tables.table2 import profile_dataset
-from repro.tables.table3 import analyze_dataset_errors, error_ratios, results_differ
+from repro.tables.table3 import (
+    _evaluate_all,
+    analyze_dataset_errors,
+    dataset_errors,
+    error_ratios,
+    results_differ,
+)
 from repro.tables.table4 import earlystop_effectiveness
 
 CFG = SpadeConfig(
@@ -97,6 +105,39 @@ def test_table3_ceos_has_errors(spark):
     # R5 shape: ratios are >= 1 (PGCube only overestimates).
     assert all(r >= 1.0 - 1e-9 for r in e.ratios)
     assert max(e.ratios, default=1.0) > 1.0
+
+
+@pytest.fixture(scope="module")
+def ceos_all(ceos_offline, test_config):
+    """Every analyzable CFS of the CEOs fixture, measure-less ones too."""
+    analyses = spade.analyze_and_enumerate(
+        ceos_offline, replace(test_config, max_cfss=8), {}
+    )
+    assert any(a.lattices and not any(sp.measures for sp in a.lattices)
+               for a in analyses)
+    return analyses
+
+
+def test_table3_evaluates_what_requests_evaluate(spark, ceos_all, test_config):
+    mvd, *_ = _evaluate_all(ceos_all)
+    arm = spade.evaluate_analyses(spark, ceos_all, test_config).arm
+    assert sorted(mvd) == arm.keys()
+    for key, res in mvd.items():
+        assert not results_differ(res, arm.get(key).result), key
+
+
+def test_table3_counts_count_star_of_measureless_cfs(ceos_all):
+    bare = [
+        replace(a, lattices=[replace(sp, measures=(), funcs={}) for sp in a.lattices])
+        for a in ceos_all if a.cfs.name == "type:CEO"
+    ]
+    e = dataset_errors("CEOs", bare)
+    nodes = {(a.cfs.name, dims) for a in bare for sp in a.lattices
+             for dims, _, _ in sp.mda_keys()}
+    assert e.n_aggregates == len(nodes) > 0
+    # Lemma 1: nodes that drop company/area count its CEOs once per
+    # area under PGCube*; count(DISTINCT cf) counts them once.
+    assert e.wrong_star > 0 == e.wrong_distinct
 
 
 # ---------------------------------------------------------------------------

@@ -31,18 +31,6 @@ def test_num_triples(tiny):
     assert tiny.num_triples() == 8
 
 
-def test_subjects_with_properties_single(tiny):
-    assert {r["cf"] for r in tiny.subjects_with_properties(["p2"]).collect()} == {
-        "a",
-        "b",
-    }
-
-
-def test_subjects_with_properties_conjunctive(tiny):
-    got = {r["cf"] for r in tiny.subjects_with_properties(["p1", "p2"]).collect()}
-    assert got == {"a"}
-
-
 def test_triples_from_pandas_roundtrip(spark):
     pdf = pd.DataFrame({"s": ["x"], "p": ["q"], "o": ["7"]})
     df = triples_from_pandas(spark, pdf)
