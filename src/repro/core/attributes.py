@@ -45,10 +45,6 @@ class AttributeStats:
     vmin: float | None  # min/max over numeric values (None if not numeric)
     vmax: float | None
 
-    @property
-    def multi_frac(self) -> float:
-        return self.multi_count / self.support if self.support else 0.0
-
 
 @dataclass(frozen=True)
 class Attribute:

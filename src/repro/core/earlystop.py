@@ -68,12 +68,12 @@ def draw_root_samples(
     """One statement sampling *several* lattice roots at once.
 
     ``roots`` lists (root fragment, n_dims) per lattice; each root is
-    joined with the pre-aggregates (if its CFS has any) and tagged with
+    joined with the pre-aggregates (if there are any) and tagged with
     its lattice (dim columns padded to the widest lattice), and a window
     over each (lattice, cell) keeps the ``capacity`` facts of lowest
     priority ``xxhash64(seed, cf, cell)`` — a bottom-k sketch, equivalent to
     reservoir sampling [44] — plus the cell's exact size. All
-    reservoirs of a CFS fill in one Spark action, but it is an action
+    reservoirs of a request fill in one Spark action, but it is an action
     of its own: the evaluation statement translates the roots again.
     """
     assert roots

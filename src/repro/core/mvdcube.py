@@ -1,8 +1,8 @@
 """MVDCube: correct one-pass lattice evaluation for RDF MDAs (§4.3).
 
 Spark SQL substrate of the paper's array/bitmap algorithm (see
-DESIGN.md for the mapping). All lattices of a CFS are evaluated by one
-parameterized ``spark.sql`` statement, collected by one action:
+DESIGN.md for the mapping). All lattices of a request (of every CFS)
+are evaluated by one parameterized ``spark.sql`` statement, one action:
 
 * ``translate``       — Data Translation: the root fact-cell relation
   ``(cf, d0..dN-1)`` of a lattice; multi-valued dimensions explode a
@@ -16,8 +16,8 @@ parameterized ``spark.sql`` statement, collected by one action:
   several parent cells is consolidated once per child cell (the bitmap
   OR of the paper), which makes results correct under multi-valued
   dimensions. By Theorem 1 only nodes that project away a multi-valued
-  dimension can receive duplicates, so a lattice without such a node
-  skips the ``DISTINCT`` (single-valued data is never deduplicated).
+  dimension of its CFS can receive duplicates, so a lattice without
+  such a node skips the ``DISTINCT`` (single-valued data never is).
   A lattice with one dedupes all its nodes in the same pass: the rows
   stay partitioned by fact, so that is a local aggregate, where a
   second pass for the duplicate-free nodes would translate the root
@@ -32,7 +32,7 @@ parameterized ``spark.sql`` statement, collected by one action:
 Cross-lattice reuse: the evaluator memoizes results by ``MDAKey``, so an
 MDA appearing in several lattices of a CFS is computed once. PGCube is
 the same kernel over the same inputs (``spade.cube_inputs``) without
-the dedupe (``pgcube.py``).
+the dedupe, one statement per lattice (``pgcube.py``).
 """
 from __future__ import annotations
 
@@ -57,12 +57,12 @@ def translate(
 ) -> Query:
     """Data Translation: the root fact-cell relation (cf, d0..dN-1).
 
-    Left-joins the CFS with the attribute union ``(a, s, o)`` filtered
-    to each dimension (position i becomes column ``d{i}``, its name the
-    parameter ``:{prefix}{i}``), keeps facts with at least one dimension
-    value, and dedupes — one row per (fact, cell). The union and the CFS
-    frames share a hash partitioning by subject that the planner sees,
-    so no join shuffles either side.
+    Left-joins the CFS (slot ``{prefix}cfs``) with the attribute union
+    ``(a, s, o)`` filtered to each dimension (position i becomes column
+    ``d{i}``, its name the parameter ``:{prefix}{i}``), keeps facts with
+    at least one dimension value, and dedupes — one row per (fact,
+    cell). The union and the CFS frames share a hash partitioning by
+    subject that the planner sees, so no join shuffles either side.
     """
     n = len(dims)
     joins = "".join(
@@ -73,9 +73,9 @@ def translate(
     cells = ", ".join(f"t{i}.o AS d{i}" for i in range(n))
     any_dim = " OR ".join(f"t{i}.o IS NOT NULL" for i in range(n))
     return Query(
-        f"SELECT DISTINCT c.cf, {cells} FROM {{cfs}} c{joins} WHERE {any_dim}",
+        f"SELECT DISTINCT c.cf, {cells} FROM {{{prefix}cfs}} c{joins} WHERE {any_dim}",
         {f"{prefix}{i}": d for i, d in enumerate(dims)},
-        {"cfs": cfs_df, "union": union},
+        {f"{prefix}cfs": cfs_df, "union": union},
     )
 
 
@@ -99,6 +99,7 @@ def _value_sql(preagg: PreAggregatedMeasures, measure: str, func: str) -> str:
 class CubeNode:
     """One lattice node planned into the kernel."""
 
+    cfs_name: str  # the CFS of the node's lattice
     id: int
     dims: dict[int, str]  # kept dimension position -> name
     pairs: list[tuple[str, str]]  # (measure, func) pairs to extract
@@ -159,7 +160,6 @@ def cube_query(
 def split_mdas(
     pdf: pd.DataFrame,
     nodes: list[CubeNode],
-    cfs_name: str,
     preagg: PreAggregatedMeasures | None,
 ) -> dict[MDAKey, pd.DataFrame]:
     """Reported MDA results from the kernel's collected rows: groups
@@ -185,15 +185,14 @@ def split_mdas(
             rows = keep & ~np.isnan(value)
             data = {name: values[rows] for name, values in dims}
             data["value"] = value[rows]
-            out[MDAKey(cfs_name, names, m, f)] = pd.DataFrame(data)
+            out[MDAKey(node.cfs_name, names, m, f)] = pd.DataFrame(data)
     return out
 
 
 @dataclass
 class MVDCubeEvaluator:
-    """Evaluates lattices of one CFS, memoizing results by MDAKey."""
+    """Evaluates lattices of a request, memoizing results by MDAKey."""
 
-    cfs_name: str
     preagg: PreAggregatedMeasures | None  # None: no lattice has a measure
     results: dict[MDAKey, pd.DataFrame] = field(default_factory=dict)
     nodes_evaluated: int = 0
@@ -202,30 +201,31 @@ class MVDCubeEvaluator:
         self,
         specs: list[LatticeSpec],
         roots: list[Query],
-        multi_valued_dims: set[str],
+        multi_valued_dims: dict[str, set[str]],
         *,
         skip: set[MDAKey] | None = None,
     ) -> None:
-        """Evaluate several lattices of the CFS in one Spark statement
-        (``cube_query``, see DESIGN.md) and one action.
+        """Evaluate several lattices, of any CFSs, in one Spark
+        statement (``cube_query``, see DESIGN.md) and one action.
 
         ``roots`` are the lattices' translations, aligned with
         ``specs``. MDAs appearing in several lattices (or memoized from
         earlier calls) are planned once; ``skip`` holds
         early-stop-pruned keys. Theorem 1: only lattices with a planned
-        node that projects away a dimension of ``multi_valued_dims``
-        are deduplicated.
+        node that projects away a multi-valued dimension of their CFS
+        (``multi_valued_dims[cfs_name]``) are deduplicated.
         """
         skip = skip or set()
         lattices: list[tuple[Query, int, list[CubeNode], bool]] = []
         nodes: list[CubeNode] = []
         planned: set[MDAKey] = set()
-        for spec, root in zip(specs, roots):
+        for spec, root in zip(specs, roots, strict=True):
+            multi = multi_valued_dims[spec.cfs_name]
             spec_nodes = []
             dedupe = False
             for pos in spec.nodes():
                 names = {i: spec.dims[i] for i in pos}
-                keys = {(m, f): MDAKey(self.cfs_name, tuple(names.values()), m, f)
+                keys = {(m, f): MDAKey(spec.cfs_name, tuple(names.values()), m, f)
                         for m, f in spec.pairs}
                 pairs = [
                     p for p in spec.pairs
@@ -236,8 +236,8 @@ class MVDCubeEvaluator:
                     continue
                 planned |= {keys[p] for p in pairs}
                 dropped = set(spec.dims) - set(names.values())
-                dedupe |= bool(dropped & multi_valued_dims)
-                spec_nodes.append(CubeNode(len(nodes), names, pairs))
+                dedupe |= bool(dropped & multi)
+                spec_nodes.append(CubeNode(spec.cfs_name, len(nodes), names, pairs))
                 nodes.append(spec_nodes[-1])
                 self.nodes_evaluated += 1
             if spec_nodes:
@@ -245,4 +245,4 @@ class MVDCubeEvaluator:
         if not nodes:
             return
         pdf = cube_query(lattices, self.preagg).run().toPandas()
-        self.results.update(split_mdas(pdf, nodes, self.cfs_name, self.preagg))
+        self.results.update(split_mdas(pdf, nodes, self.preagg))

@@ -7,7 +7,7 @@ facts (each fact joined with its dimension and measure values, hence
 Here it is MVDCube's cube kernel (``mvdcube.cube_query``) without the
 per-fact dedupe: the same one-pass projection into every grouping set,
 over the same inputs (``spade.cube_inputs``: the lattice's Data
-Translation root and the CFS's pre-aggregated measures).
+Translation root and the request's pre-aggregated measures).
 
 Two variants as in Section 6:
 * ``PGCube*``  — counts with ``count(*)`` over the exploded rows;
@@ -17,9 +17,10 @@ Two variants as in Section 6:
 Errors arise exactly as Lemma 1 predicts: when a grouping set projects
 away a multi-valued dimension, the duplicated fact rows are aggregated
 multiple times. Each lattice is evaluated by its own statement (the
-paper: "PGCube evaluates each lattice in a separate query"), so shared
-nodes may get different (differently wrong) results per lattice —
-Experiment 3 records the per-group maximum error.
+paper: "PGCube evaluates each lattice in a separate query"; MVDCube
+fuses a request's lattices), so shared nodes may get different
+(differently wrong) results per lattice — Experiment 3 records the
+per-group maximum error.
 """
 from __future__ import annotations
 
@@ -33,7 +34,6 @@ from repro.core.query import Query
 
 
 def evaluate(
-    cfs_name: str,
     spec: LatticeSpec,
     root: Query,
     preagg: PreAggregatedMeasures | None,
@@ -44,10 +44,10 @@ def evaluate(
     ``root``, split per grouping set (lattice node). ``distinct_count``
     selects PGCube^d, else PGCube*."""
     nodes = [
-        CubeNode(i, {j: spec.dims[j] for j in pos}, spec.pairs)
+        CubeNode(spec.cfs_name, i, {j: spec.dims[j] for j in pos}, spec.pairs)
         for i, pos in enumerate(spec.nodes())
     ]
     query = cube_query(
         [(root, len(spec.dims), nodes, False)], preagg, distinct_count=distinct_count
     )
-    return split_mdas(query.run().toPandas(), nodes, cfs_name, preagg)
+    return split_mdas(query.run().toPandas(), nodes, preagg)

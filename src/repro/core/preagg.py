@@ -4,14 +4,14 @@ For each (CF, measure) pair the paper pre-computes ``cnt``, ``sum``,
 ``min`` and ``max`` of the measure's values on that fact (``avg`` is
 derived as sum/cnt at query time). These per-CF pre-aggregates make
 group-level aggregation correct for facts with multiple measure values,
-and are *shared across all lattices of a CFS*: one wide relation
+and are *shared across all lattices of a request*: one wide relation
 
     (cf, m0_cnt, m0_sum, m0_min, m0_max, m1_cnt, ...)
 
 indexed by measure *position*, so attribute names (e.g.
 ``company/area``) never reach column names or SQL text. It is a SQL
 fragment over the attribute union, planned into the statement that
-evaluates the CFS: nothing is cached per request.
+evaluates the request's CFSs: nothing is cached per request.
 """
 from __future__ import annotations
 

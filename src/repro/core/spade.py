@@ -7,10 +7,10 @@ graph's CFSs; no Spark job) → online attribute analysis (one Spark
 statement for all the analyzed CFSs) → aggregate enumeration (no Spark
 job, from the analysis's attribute-set patterns) → aggregate evaluation
 (MVDCube or PGCube, optionally with early-stop) → top-k computation.
-Every evaluator of a CFS reads the same ``cube_inputs`` (pre-aggregated
-measures and one Data Translation root per lattice); Table 3 evaluates
-through them too. Every step is wall-clock timed (`SpadeResult.times`)
-for Experiment 5's breakdown.
+Every evaluator reads the same ``cube_inputs`` of all the CFSs (one
+pre-aggregate and one Data Translation root per lattice), MVDCube in
+one statement; Table 3 evaluates through them too. Every step is
+wall-clock timed (`SpadeResult.times`) for Experiment 5's breakdown.
 """
 from __future__ import annotations
 
@@ -155,17 +155,19 @@ def analyze_and_enumerate(
     return analyses
 
 
-def cube_inputs(analysis: CFSAnalysis) -> tuple[PreAggregatedMeasures | None, list[Query]]:
-    """What every evaluator of a CFS reads: the pre-aggregates of its
-    lattices' measures (None when no lattice has a measure: count(*)
-    reads none) and one Data Translation root per lattice, aligned with
-    ``analysis.lattices``. Both are SQL fragments, planned into the
-    statements that read them."""
-    measures = sorted({m for sp in analysis.lattices for m in sp.measures})
-    preagg = preaggregate(analysis.union, measures) if measures else None
+def cube_inputs(analyses: list[CFSAnalysis]) -> tuple[PreAggregatedMeasures | None, list[Query]]:
+    """What every evaluator of a request reads: the pre-aggregates of
+    every lattice's measures (None when no lattice has a measure:
+    count(*) reads none) and one Data Translation root per lattice of
+    ``analyses``, in order, root i reading its CFS from slot
+    ``l{i}_cfs``. Both are SQL fragments, planned into the statements
+    that read them."""
+    lattices = [(a, spec) for a in analyses for spec in a.lattices]
+    measures = sorted({m for _, spec in lattices for m in spec.measures})
+    preagg = preaggregate(analyses[0].union, measures) if measures else None
     roots = [
-        translate(analysis.cfs.df, analysis.union, spec.dims, f"l{i}_")
-        for i, spec in enumerate(analysis.lattices)
+        translate(a.cfs.df, a.union, spec.dims, f"l{i}_")
+        for i, (a, spec) in enumerate(lattices)
     ]
     return preagg, roots
 
@@ -183,9 +185,9 @@ def evaluate_analyses(
     """Steps 4-5 over pre-analyzed CFSs (lets callers time evaluation
     alone, as the paper does when comparing evaluation methods).
 
-    Every evaluator reads the same ``cube_inputs``: one statement per
-    CFS (MVDCube) or per lattice (PGCube); early-stop samples the same
-    fragments in one more statement per CFS."""
+    Every evaluator reads the same ``cube_inputs`` of all the CFSs: one
+    statement for the request (MVDCube) or one per lattice (PGCube);
+    early-stop samples the same fragments in one more statement."""
     assert evaluator in ("mvdcube", "pgcube*", "pgcubed")
     assert not (early_stop and evaluator != "mvdcube"), "ES plugs into MVDCube"
     times: dict[str, float] = {}
@@ -193,63 +195,50 @@ def evaluate_analyses(
     es_result: EarlyStopResult | None = None
 
     with _timed(times, "aggregate_evaluation"):
-        all_candidates = []
-        per_cfs = []
-        for analysis in analyses:
-            if not analysis.lattices:
-                continue
-            preagg, roots = cube_inputs(analysis)
-            if early_stop:
-                # All reservoirs of the CFS fill in one pass (sampling
-                # runs over Data Translation, §5.3).
-                samples = draw_root_samples(
-                    [(root, len(spec.dims)) for spec, root in zip(analysis.lattices, roots)],
-                    preagg,
-                    capacity=config.es_sample_size,
-                    seed=config.seed,
-                )
-                stats_map = {a.name: a.stats for a in analysis.attributes}
-                for spec, sample in zip(analysis.lattices, samples):
-                    bounds = {
-                        m: (stats_map[m].vmin, stats_map[m].vmax)
-                        for m in spec.measures
-                        if stats_map[m].vmin is not None
-                    }
-                    all_candidates.extend(
-                        build_candidates(
-                            sample,
-                            spec,
-                            capacity=config.es_sample_size,
-                            value_bounds=bounds,
-                        )
-                    )
-            per_cfs.append((analysis, preagg, roots))
-
+        lattices = [spec for a in analyses for spec in a.lattices]
+        preagg, roots = cube_inputs(analyses)
         skip: set[MDAKey] = set()
-        if early_stop and all_candidates:
-            es_result = early_stop_prune(
-                all_candidates, k=k, h_name=h, config=config
+        if early_stop and lattices:
+            # All reservoirs fill in one pass (sampling runs over Data
+            # Translation, §5.3).
+            samples = draw_root_samples(
+                [(root, len(spec.dims)) for spec, root in zip(lattices, roots)],
+                preagg,
+                capacity=config.es_sample_size,
+                seed=config.seed,
             )
+            bounds = {
+                a.cfs.name: {
+                    at.name: (at.stats.vmin, at.stats.vmax)
+                    for at in a.attributes
+                    if at.stats.vmin is not None
+                }
+                for a in analyses
+            }
+            candidates = []
+            for spec, sample in zip(lattices, samples):
+                candidates += build_candidates(
+                    sample, spec, capacity=config.es_sample_size,
+                    value_bounds=bounds[spec.cfs_name],
+                )
+            es_result = early_stop_prune(candidates, k=k, h_name=h, config=config)
             skip = es_result.pruned
 
-        for analysis, preagg, roots in per_cfs:
-            name = analysis.cfs.name
-            if evaluator == "mvdcube":
-                # All lattices of the CFS in one statement (shared scan,
-                # shared measures — the paper's one-pass + reuse).
-                ev = MVDCubeEvaluator(name, preagg)
-                ev.evaluate_many(
-                    analysis.lattices, roots, analysis.multi_valued_dims, skip=skip
+        if evaluator == "mvdcube":
+            # All lattices of every CFS in one statement (shared scan,
+            # shared measures — the paper's one-pass + reuse).
+            ev = MVDCubeEvaluator(preagg)
+            multi = {a.cfs.name: a.multi_valued_dims for a in analyses}
+            ev.evaluate_many(lattices, roots, multi, skip=skip)
+            arm.add_all(ev.results)
+        else:
+            for spec, root in zip(lattices, roots):
+                results = pgcube.evaluate(
+                    spec, root, preagg, distinct_count=evaluator == "pgcubed"
                 )
-                arm.add_all(ev.results)
-            else:
-                for spec, root in zip(analysis.lattices, roots):
-                    results = pgcube.evaluate(
-                        name, spec, root, preagg, distinct_count=evaluator == "pgcubed"
-                    )
-                    for key, res in results.items():
-                        if key not in arm:  # first lattice wins (no reuse)
-                            arm.add(key, res)
+                for key, res in results.items():
+                    if key not in arm:  # first lattice wins (no reuse)
+                        arm.add(key, res)
 
     with _timed(times, "topk"):
         topk = arm.top_k(h, k)

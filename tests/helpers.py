@@ -111,9 +111,10 @@ def analysis_of(name: str, cfs: DataFrame, attributes, lattices) -> CFSAnalysis:
 def evaluate_mvdcube(analysis: CFSAnalysis, **kwargs) -> MVDCubeEvaluator:
     """A new evaluator over every lattice of ``analysis``, fed the cube
     inputs and multi-valued set that a request feeds it."""
-    preagg, roots = cube_inputs(analysis)
-    ev = MVDCubeEvaluator(analysis.cfs.name, preagg)
-    ev.evaluate_many(analysis.lattices, roots, analysis.multi_valued_dims, **kwargs)
+    preagg, roots = cube_inputs([analysis])
+    ev = MVDCubeEvaluator(preagg)
+    multi = {analysis.cfs.name: analysis.multi_valued_dims}
+    ev.evaluate_many(analysis.lattices, roots, multi, **kwargs)
     return ev
 
 

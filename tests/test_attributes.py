@@ -73,10 +73,6 @@ def test_ref_frac(offline):
     assert offline["cat"].ref_frac == 0.0
 
 
-def test_multi_frac_property(offline):
-    assert offline["cat"].multi_frac == pytest.approx(1 / 3)
-
-
 def test_rdf_type_not_analyzed(offline):
     assert "rdf:type" not in offline
 

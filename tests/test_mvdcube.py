@@ -201,8 +201,8 @@ def test_memoization_skips_recompute(fig1_eval):
     )
     ev = _evaluate(analysis, [spec])
     n1 = ev.nodes_evaluated
-    _, roots = cube_inputs(replace(analysis, lattices=[spec]))
-    ev.evaluate_many([spec], roots, analysis.multi_valued_dims)  # all memoized
+    _, roots = cube_inputs([replace(analysis, lattices=[spec])])
+    ev.evaluate_many([spec], roots, {"CEO": analysis.multi_valued_dims})  # all memoized
     assert ev.nodes_evaluated == n1
 
 

@@ -176,31 +176,34 @@ def test_no_analyzable_cfs_runs_no_statement(spark, ceos_offline, test_config):
     assert analyses == [] and jobs == 0
 
 
-def test_request_spark_jobs(spark, ceos_offline, test_config):
-    config = replace(test_config, max_cfss=1)
+@pytest.mark.parametrize("n_cfss", [1, 2])
+def test_request_spark_jobs(spark, ceos_offline, test_config, n_cfss):
+    config = replace(test_config, max_cfss=n_cfss)
     spade.run_online(spark, ceos_offline, config, k=3)  # warm
     result, exact_jobs = _jobs(
-        spark, "test-exact", lambda: spade.run_online(spark, ceos_offline, config, k=3)
+        spark, f"test-exact-{n_cfss}",
+        lambda: spade.run_online(spark, ceos_offline, config, k=3),
     )
-    assert [bool(a.lattices) for a in result.analyses] == [True]
-    # One statement of online analysis, one evaluating the CFS.
+    assert [bool(a.lattices) for a in result.analyses] == [True] * n_cfss
+    # One statement of online analysis, one evaluating every CFS.
     assert exact_jobs == 2
     _, es_jobs = _jobs(
-        spark, "test-es",
+        spark, f"test-es-{n_cfss}",
         lambda: spade.run_online(spark, ceos_offline, config, early_stop=True, k=3),
     )
-    assert exact_jobs < es_jobs <= exact_jobs + 2
+    # One more, sampling every CFS.
+    assert es_jobs == 3
     # Adaptive execution runs each shuffle stage of a statement as a job
     # of its own. The only shuffles left are the GROUP BYs on other keys
     # than the subject: two in the analysis, one in the evaluation, the
     # sampling window's one.
     _, exact_jobs = _jobs(
-        spark, "test-exact-aqe",
+        spark, f"test-exact-aqe-{n_cfss}",
         lambda: spade.run_online(spark, ceos_offline, config, k=3), "true",
     )
     assert exact_jobs == (1 + 2) + (1 + 1)
     _, es_jobs = _jobs(
-        spark, "test-es-aqe",
+        spark, f"test-es-aqe-{n_cfss}",
         lambda: spade.run_online(spark, ceos_offline, config, early_stop=True, k=3),
         "true",
     )

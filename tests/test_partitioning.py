@@ -76,9 +76,10 @@ def test_request_joins_shuffle_no_graph_frame(
     result = spade.run_online(spark, ceos_offline, config, k=3, **kind)
     analyzed_sources = {a.cfs.source for a in result.analyses if a.lattices}
     assert ("property" in analyzed_sources) == bool(property_cfss)
-    # The analysis, then per CFS an evaluation (per lattice with PGCube)
-    # and, with early-stop, a sampling statement.
-    assert len(statements) >= 1 + len(analyzed_sources)
+    # The analysis, then one evaluation of every CFS (one per lattice
+    # with PGCube) and, with early-stop, one sampling statement.
+    evaluations = len(result.lattices) if "evaluator" in kind else 1
+    assert len(statements) == 1 + evaluations + ("early_stop" in kind)
     for df in statements:
         plan = df._jdf.queryExecution().executedPlan()
         assert plan.isFinalPlan()  # every statement ran

@@ -43,9 +43,9 @@ def fig1_pg(spark, fig1):
         measures=("netWorth", "age"),
         funcs={"netWorth": ("sum", "min"), "age": ("avg",)},
     )
-    preagg, [root] = cube_inputs(analysis_of("CEO", cfs, attrs.values(), [spec]))
-    res_star = evaluate("CEO", spec, root, preagg, distinct_count=False)
-    res_dist = evaluate("CEO", spec, root, preagg, distinct_count=True)
+    preagg, [root] = cube_inputs([analysis_of("CEO", cfs, attrs.values(), [spec])])
+    res_star = evaluate(spec, root, preagg, distinct_count=False)
+    res_dist = evaluate(spec, root, preagg, distinct_count=True)
     yield res_star, res_dist
 
 
@@ -156,8 +156,8 @@ def sv(spark):
     spec = LatticeSpec(
         "F", dims=("color", "size"), measures=("score",), funcs={"score": FUNCS}
     )
-    preagg, [root] = cube_inputs(analysis_of("F", cfs, attrs.values(), [spec]))
-    results = evaluate("F", spec, root, preagg, distinct_count=False)
+    preagg, [root] = cube_inputs([analysis_of("F", cfs, attrs.values(), [spec])])
+    results = evaluate(spec, root, preagg, distinct_count=False)
     tables = {
         "cfs": cfs.toPandas(),
         "dims": {n: attrs[n].df.toPandas() for n in ("color", "size")},

@@ -1,9 +1,15 @@
 """End-to-end tests of the Spade pipeline (Figure 2)."""
+import re
+from dataclasses import replace
+
+import pandas as pd
 import pytest
 
-from repro.core import spade
+from repro.core import mvdcube, spade
 from repro.core.config import SpadeConfig
+from repro.core.earlystop import draw_root_samples
 from repro.core.mda import MDAKey
+from repro.tables.table3 import results_differ
 
 
 @pytest.fixture(scope="module")
@@ -138,3 +144,90 @@ def test_airline_no_derivations(spark, airline_store, test_config):
 def test_run_convenience_wrapper(spark, airline_store, test_config):
     res = spade.run(spark, airline_store, test_config, k=3)
     assert res.topk and "offline_summary" in res.times
+
+
+# ---------------------------------------------------------------------------
+# Every CFS of a request in one statement
+# ---------------------------------------------------------------------------
+@pytest.fixture(scope="module")
+def mixed_analyses(ceos_offline, test_config):
+    """Several CFSs with lattices: some with multi-valued dimensions, at
+    least one with none."""
+    analyses = spade.analyze_and_enumerate(
+        ceos_offline, replace(test_config, max_cfss=4), {}
+    )
+    with_lattices = [a for a in analyses if a.lattices]
+    assert len(with_lattices) >= 2
+    assert {bool(a.multi_valued_dims) for a in with_lattices} == {True, False}
+    return analyses
+
+
+@pytest.mark.parametrize("evaluator", ["mvdcube", "pgcube*"])
+def test_cfss_evaluated_together_equal_each_alone(
+    spark, mixed_analyses, test_config, evaluator
+):
+    together = spade.evaluate_analyses(
+        spark, mixed_analyses, test_config, evaluator=evaluator
+    ).arm
+    keys = []
+    for a in mixed_analyses:
+        alone = spade.evaluate_analyses(spark, [a], test_config, evaluator=evaluator).arm
+        keys += alone.keys()
+        for key in alone.keys():
+            assert not results_differ(
+                together.get(key).result, alone.get(key).result
+            ), key
+    assert sorted(keys) == together.keys()
+
+
+def test_cfss_sampled_together_equal_each_alone(mixed_analyses, test_config):
+    def samples(analyses):
+        """The pre-aggregates and each lattice's sample."""
+        preagg, roots = spade.cube_inputs(analyses)
+        lattices = [spec for a in analyses for spec in a.lattices]
+        drawn = draw_root_samples(
+            [(root, len(spec.dims)) for spec, root in zip(lattices, roots)],
+            preagg,
+            capacity=test_config.es_sample_size,
+            seed=test_config.seed,
+        )
+        return [(preagg, spec, sample) for spec, sample in zip(lattices, drawn)]
+
+    together = samples(mixed_analyses)
+    alone = [s for a in mixed_analyses if a.lattices for s in samples([a])]
+    assert len(alone) == len(together)
+    for (preagg, spec, mixed), (own_preagg, own_spec, own) in zip(together, alone):
+        assert own_spec == spec
+        base = [f"d{i}" for i in range(len(spec.dims))] + ["cf", "__prio", "n"]
+        pd.testing.assert_frame_equal(mixed.rows[base], own.rows[base])
+        for m in spec.measures:
+            cols, own_cols = preagg.columns_for(m), own_preagg.columns_for(m)
+            for f in cols:
+                # A count is an integer column unless a null widens it.
+                pd.testing.assert_series_equal(
+                    mixed.rows[cols[f]], own.rows[own_cols[f]],
+                    check_names=False, check_dtype=False,
+                )
+
+
+def test_distinct_planned_per_cfs(spark, mixed_analyses, test_config, monkeypatch):
+    planned = []
+    kernel = mvdcube.cube_query
+
+    def recorded(lattices, *args, **kwargs):
+        query = kernel(lattices, *args, **kwargs)
+        planned.append((lattices, query.text))
+        return query
+
+    monkeypatch.setattr(mvdcube, "cube_query", recorded)
+    spade.evaluate_analyses(spark, mixed_analyses, test_config)
+    [(lattices, text)] = planned
+    deduped = set(re.findall(
+        r"SELECT DISTINCT \* FROM \(SELECT cf AS cf, inline\(.*?\) FROM (r\d+)\)", text
+    ))
+    multi = {a.cfs.name: a.multi_valued_dims for a in mixed_analyses}
+    cfss = [nodes[0].cfs_name for _, _, nodes, _ in lattices]
+    assert len(set(cfss)) >= 2 and deduped
+    for li, name in enumerate(cfss):
+        if not multi[name]:
+            assert f"r{li}" not in deduped, name

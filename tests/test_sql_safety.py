@@ -60,8 +60,8 @@ def hostile(spark):
     )
     analysis = analysis_of("F", cfs, attrs.values(), [spec])
     mvd = evaluate_mvdcube(analysis)
-    preagg, [root] = cube_inputs(analysis)
-    pgd = evaluate("F", spec, root, preagg, distinct_count=True)
+    preagg, [root] = cube_inputs([analysis])
+    pgd = evaluate(spec, root, preagg, distinct_count=True)
     tables = {
         "cfs": cfs.toPandas(),
         "attrs": {n: a.df.toPandas() for n, a in attrs.items()},

@@ -63,3 +63,19 @@ def test_hooks_run_on_request_path(spark, ceos_offline, test_config, tracer):
     assert EXACT_SPANS | ES_SPANS <= names
     (evaluate, *_) = [sp for sp in tracer.spans if sp.name == "core.mvdcube.evaluate"]
     assert evaluate.counts["nodes"] > 0
+
+
+def test_one_evaluate_and_sample_span_per_request(
+    spark, ceos_offline, test_config, tracer
+):
+    config = replace(test_config, max_cfss=2)
+    tracer.install()
+    for request, kwargs in enumerate([{}, {"early_stop": True}]):
+        tracer.request = request
+        result = spade.run_online(spark, ceos_offline, config, k=3, **kwargs)
+        assert sum(bool(a.lattices) for a in result.analyses) == 2
+    tracer.uninstall()
+    for request, sample_spans in enumerate([0, 1]):
+        names = [sp.name for sp in tracer.spans if sp.request == request]
+        assert names.count("core.mvdcube.evaluate") == 1
+        assert names.count("core.earlystop.sample") == sample_spans
